@@ -11,8 +11,8 @@ statistics), ``y_samples.txt`` / ``s_samples.txt`` (terminal sample sets, one
 value per line), ``y_hist.csv`` / ``s_hist.csv``, optional analytic overlay
 tabulations (two-column CSV), ``config.txt`` (the fully resolved key=value
 configuration, reusable via --config), and ``summary.txt`` (key=value report).
-All randomness is controlled by --seed; two runs with identical flags produce
-identical files.
+All randomness is controlled by the seed (--seed, else the config file's, else
+0); two runs with identical flags produce identical files.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-invariant failure.
 Errors are printed to stderr with the machine-readable prefix
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +89,14 @@ PRESETS: dict[str, dict] = {
     "test3c": dict(_TEST3_COMMON, alpha1=0.5, alpha2=0.4),
 }
 
-_PARAM_KEYS = ("alpha1", "alpha2", "sigma2_opinion", "beta", "zeta2_price",
-               "t_C", "gamma_f", "S_F", "dividend", "k_discount", "mu_freq",
-               "sigma_switch", "herding_a", "herding_b", "gamma_diff")
-_VALUE_KEYS = ("L", "R0", "r_exp", "l_exp")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams) if f.init)
+_VALUE_KEYS = tuple(f.name for f in fields(ValueFunctionSpec))
 _FLOAT_KEYS = _PARAM_KEYS + _VALUE_KEYS + ("dt", "S0", "rho_C0", "hill_k_frac")
-_INT_KEYS = ("N", "N_s", "n_iters", "seed", "bins_y", "bins_s", "n_streams")
+_INT_KEYS = ("N", "N_s", "n_iters", "seed", "bins_y", "bins_s")
 _BOOL_KEYS = ("enable_switching", "pin_mean", "overlay_chartist",
               "overlay_lognormal", "overlay_pareto")
 REQUIRED_KEYS = _FLOAT_KEYS \
-    + tuple(k for k in _INT_KEYS if k not in ("seed", "n_streams")) \
+    + tuple(k for k in _INT_KEYS if k != "seed") \
     + _BOOL_KEYS + ("chartist_init",)
 
 
@@ -145,8 +143,7 @@ def preset(name: str, overrides: dict | None = None, seed: int = 0,
             f"preset {name!r} is missing required fields: {', '.join(sorted(missing))}"
         )
     params = ModelParams(**{k: table[k] for k in _PARAM_KEYS})
-    value_spec = ValueFunctionSpec(L=table["L"], R0=table["R0"],
-                                   r_exp=table["r_exp"], l_exp=table["l_exp"])
+    value_spec = ValueFunctionSpec(**{k: table[k] for k in _VALUE_KEYS})
     init = table["chartist_init"]
     if init == "equilibrium":
         kappa = params.sigma2_opinion / (params.alpha1 + params.alpha2)
@@ -157,7 +154,6 @@ def preset(name: str, overrides: dict | None = None, seed: int = 0,
         dt=table["dt"], n_iters=table["n_iters"], seed=int(table.get("seed", seed)),
         enable_switching=table["enable_switching"], S0=table["S0"],
         rho_C0=table["rho_C0"], chartist_init=init, pin_mean=table["pin_mean"],
-        n_streams=int(table.get("n_streams", 1)),
     )
     return ExperimentConfig(
         preset=name, seed=sim.seed, out_dir=Path(out_dir) if out_dir else None,
@@ -238,11 +234,11 @@ def _write_keyvalues(path: Path, table: dict) -> None:
 def _config_table(config: ExperimentConfig) -> dict:
     p, v, s = config.sim.params, config.sim.value_spec, config.sim
     table = {k: getattr(p, k) for k in _PARAM_KEYS}
-    table.update(L=v.L, R0=v.R0, r_exp=v.r_exp, l_exp=v.l_exp)
+    table.update({k: getattr(v, k) for k in _VALUE_KEYS})
     table.update(N=s.N, N_s=s.N_s, dt=s.dt, n_iters=s.n_iters, seed=s.seed,
                  enable_switching=s.enable_switching, S0=s.S0, rho_C0=s.rho_C0,
                  chartist_init=str(s.chartist_init), pin_mean=s.pin_mean,
-                 n_streams=s.n_streams, preset=config.preset,
+                 preset=config.preset,
                  overlay_chartist=config.overlay_chartist,
                  overlay_lognormal=config.overlay_lognormal,
                  overlay_pareto=config.overlay_pareto,
@@ -416,7 +412,8 @@ def _build_parser() -> _Parser:
     runp = sub.add_parser("run", help="run a preset or custom configuration")
     runp.add_argument("--preset", default="custom",
                       help=f"one of: {', '.join(preset_names())}")
-    runp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    runp.add_argument("--seed", type=int,
+                      help="RNG seed (default: the config file's, else 0)")
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--config", help="key=value config file (overrides preset)")
     runp.add_argument("--iters", type=int, help="override iteration count")
@@ -425,8 +422,6 @@ def _build_parser() -> _Parser:
     runp.add_argument("--zeta2", type=float, help="override price-noise variance")
     runp.add_argument("--pin-mean", choices=["on", "off"],
                       help="override mean re-centering")
-    runp.add_argument("--parallel", type=int, metavar="N_STREAMS",
-                      help="use N_STREAMS per-worker RNG streams")
 
     sub.add_parser("preset-list", help="list available presets")
 
@@ -439,20 +434,13 @@ def _cmd_run(args) -> int:
     overrides: dict = {}
     if args.config:
         overrides.update(load_config_file(args.config))
-    if args.iters is not None:
-        overrides["n_iters"] = args.iters
-    if args.n_agents is not None:
-        overrides["N"] = args.n_agents
-    if args.n_price_samples is not None:
-        overrides["N_s"] = args.n_price_samples
-    if args.zeta2 is not None:
-        overrides["zeta2_price"] = args.zeta2
-    if args.pin_mean is not None:
-        overrides["pin_mean"] = args.pin_mean == "on"
-    if args.parallel is not None:
-        overrides["n_streams"] = args.parallel
-    overrides["seed"] = args.seed
-    config = preset(args.preset, overrides, seed=args.seed, out_dir=args.out)
+    pin_mean = None if args.pin_mean is None else args.pin_mean == "on"
+    for key, value in (("n_iters", args.iters), ("N", args.n_agents),
+                       ("N_s", args.n_price_samples), ("zeta2_price", args.zeta2),
+                       ("pin_mean", pin_mean), ("seed", args.seed)):
+        if value is not None:
+            overrides[key] = value
+    config = preset(args.preset, overrides, out_dir=args.out)
     summary = run_experiment(config)
     for k, v in summary.items():
         print(f"{k}={_fmt(v)}")

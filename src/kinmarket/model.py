@@ -159,26 +159,32 @@ def value_function(spec: ValueFunctionSpec, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def herding(params: ModelParams, y):
-    """Herding weight H(y) = a + b (1 - |y|); largest for undecided agents."""
-    return params.herding_a + params.herding_b * (1.0 - np.abs(y))
+def herding(params: ModelParams, y, out=None):
+    """Herding weight H(y) = a + b (1 - |y|), largest at y = 0; into ``out`` if given."""
+    h = np.subtract(1.0, np.abs(y, out=out), out=out)
+    h = np.multiply(params.herding_b, h, out=out)
+    return np.add(params.herding_a, h, out=out)
 
 
-def diffusion(params: ModelParams, y):
-    """Diffusion amplitude D(y) = (1 - y^2)^gamma; vanishes at y = +-1."""
-    return np.clip(1.0 - np.square(y), 0.0, None) ** params.gamma_diff
+def diffusion(params: ModelParams, y, out=None):
+    """Diffusion amplitude D(y) = (1 - y^2)^gamma, 0 at y = +-1; into ``out`` if given."""
+    d = np.subtract(1.0, np.square(y, out=out), out=out)
+    d = np.clip(d, 0.0, None, out=out)
+    d **= params.gamma_diff
+    return d
 
 
-def chartist_profit(params: ModelParams, y, S: float, S_dot: float):
+def chartist_profit(params: ModelParams, y, S: float, S_dot: float, out=None):
     """Chartist excess profit sgn(y) * ((S_dot/mu + D)/S - r).
 
     The sign factor accounts for the agent's position: buyers gain from an
-    uptrend, sellers from a downtrend.  Requires S > 0.
+    uptrend, sellers from a downtrend.  Requires S > 0.  ``out``, an array
+    shaped like ``y``, receives the result when given.
     """
     if S <= 0.0:
         raise ValueError(f"price must be positive to evaluate profits, got S={S}")
     signal = (S_dot / params.mu_freq + params.dividend) / S - params.r_return
-    return np.sign(y) * signal
+    return np.multiply(np.sign(y, out=out), signal, out=out)
 
 
 def fundamentalist_profit(params: ModelParams, S: float) -> float:

@@ -11,20 +11,21 @@ One iteration advances three coupled pieces, in a fixed order:
    pre-update population;
 4. update every price sample independently with fresh bounded noise.
 
-Per-iteration statistics are recorded after step 4.  Sequential mode
-(n_streams = 1) is the determinism reference: a fixed seed reproduces the
-trajectory bit for bit.  With n_streams > 1 the noise draws for interactions
-and price updates come from per-worker substreams executed by a thread pool;
-results are still deterministic for a fixed (seed, n_streams) pair but differ
-from sequential mode at the sample level while leaving the sampled
-distributions unchanged.
+Per-iteration statistics are recorded after step 4; a fixed seed reproduces
+the trajectory bit for bit.
+
+Chartists are gathered by their index (``np.flatnonzero``, recomputed only
+after a strategy exchange that moved someone), never by the boolean mask, and
+read as a view while they are the first N_C agents.  The mean propensity is
+taken once per iteration, when recording; the next price step reuses it.  The
+array kernels write into scratch arrays that live as long as the run, in the
+operation order of their defining expressions, so the bits are the same.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -38,9 +39,8 @@ from .model import (
     diffusion,
     fundamentalist_profit,
     herding,
-    price_noise_halfwidth,
-    max_price_noise_variance,
     validate_opinion_noise,
+    validate_price_noise,
     value_function,
 )
 
@@ -85,20 +85,23 @@ class AgentEnsemble:
     def n_chartists(self) -> int:
         return int(np.count_nonzero(self.is_chartist))
 
-    @property
-    def rho_C(self) -> float:
-        return self.n_chartists / self.N
+    def chartist_y(self, idx: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Chartist propensities in agent order: a view of ``y`` when the
+        chartists are the first N_C agents, else a copy (into ``out`` if
+        given).  ``idx`` is ``np.flatnonzero(self.is_chartist)``, if known.
+        """
+        if idx is None:
+            idx = np.flatnonzero(self.is_chartist)
+        if _is_prefix(idx):
+            return self.y[:idx.size]
+        return np.take(self.y, idx, out=out, mode="clip")
 
-    @property
-    def rho_F(self) -> float:
-        return 1.0 - self.rho_C
-
-    def mean_propensity(self) -> float:
-        """Mean y over the chartist subpopulation; 0 when there are none."""
-        mask = self.is_chartist
-        if not mask.any():
-            return 0.0
-        return float(self.y[mask].mean())
+    def mean_propensity(self, idx: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> float:
+        """Mean y over the chartists (0 if none); arguments as for chartist_y."""
+        yc = self.chartist_y(idx, out)
+        return float(yc.mean()) if yc.size else 0.0
 
     @classmethod
     def initialize(cls, N: int, rho_C0: float, init: ChartistInit,
@@ -109,6 +112,11 @@ class AgentEnsemble:
         is_chartist[:n_c] = True
         y[:n_c] = _initial_propensities(n_c, init, rng)
         return cls(y=y, is_chartist=is_chartist)
+
+
+def _is_prefix(idx: np.ndarray) -> bool:
+    # an ascending index of distinct agents is 0..n-1 iff its last entry is n-1
+    return idx.size == 0 or idx[-1] == idx.size - 1
 
 
 def _initial_propensities(n: int, init: ChartistInit,
@@ -140,21 +148,17 @@ def _initial_propensities(n: int, init: ChartistInit,
 
 @dataclass
 class PriceEnsemble:
-    """Price sample set with the running ensemble mean and trend estimate."""
+    """Price sample set with its mean, smallest sample and trend estimate."""
 
     samples: np.ndarray
-    S_prev: float
     S_curr: float
+    s_min: float
     trend: float  # (S_curr - S_prev) / (dt * S_curr); 0 before the first update
 
     @classmethod
     def initialize(cls, N_s: int, S0: float) -> "PriceEnsemble":
-        samples = np.full(N_s, float(S0))
-        return cls(samples=samples, S_prev=float(S0), S_curr=float(S0), trend=0.0)
-
-    @property
-    def second_moment(self) -> float:
-        return float(np.mean(self.samples * self.samples))
+        S0 = float(S0)
+        return cls(samples=np.full(N_s, S0), S_curr=S0, s_min=S0, trend=0.0)
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,6 @@ class SimConfig:
     rho_C0: float = 1.0
     chartist_init: ChartistInit = "symmetric_uniform"
     pin_mean: bool = False
-    phi_override: float | None = None
-    n_streams: int = 1
 
     def __post_init__(self) -> None:
         if self.N < 1 or self.N_s < 1:
@@ -201,10 +203,6 @@ class SimConfig:
             raise ConfigurationError("rho_C0 must lie in [0, 1]")
         if self.S0 <= 0.0:
             raise ConfigurationError("initial price S0 must be positive")
-        if self.n_streams < 1:
-            raise ConfigurationError("n_streams must be at least 1")
-        if self.phi_override is not None and abs(self.phi_override) > 1.0:
-            raise ConfigurationError("phi_override must lie in [-1, 1]")
         if isinstance(self.chartist_init, str):
             known = ("symmetric_uniform", "uniform", "zero")
             if self.chartist_init not in known \
@@ -248,46 +246,84 @@ class Trajectory:
                 )
 
     def write_samples(self, y_path, s_path) -> None:
-        np.savetxt(y_path, self.y_final, fmt="%.17g")
-        np.savetxt(s_path, self.s_final, fmt="%.17g")
+        # the bytes of np.savetxt(path, a, fmt="%.17g"), in one format call
+        for path, a in ((y_path, self.y_final), (s_path, self.s_final)):
+            with open(path, "w") as fh:
+                fh.write(("%.17g\n" * a.size) % tuple(a.tolist()))
+
+
+class _Workspace(dict):
+    """Named scratch arrays, reused by the loop's kernels across iterations.
+
+    An array of 50k samples made afresh in every iteration is returned to
+    the operating system and faulted back in: with fresh temporaries, page
+    faults took 11-26% of the loop's time at N = N_s = 50k.
+    """
+
+    def __call__(self, name: str, n: int, dtype=float) -> np.ndarray:
+        """``name``'s array cut to length n; its contents are undefined."""
+        a = self.get(name)
+        if a is None or a.size < n:
+            a = self[name] = np.empty(n, dtype)
+        return a[:n]
 
 
 def binary_interact(y, y_star, phi_val: float, eta, eta_star,
-                    params: ModelParams):
+                    params: ModelParams, out=None):
     """Apply one symmetric binary opinion interaction; scalars or arrays.
 
     Returns (y', y_star', rejected).  Where either proposed output leaves
     [-1, 1] the interaction is void and both partners keep their states;
     the rejected flag reports those cases (a defined outcome, not an error).
+    ``out``, three arrays shaped like ``y``, receives y' and y_star' and
+    serves as scratch when given.
     """
     ya = np.asarray(y, dtype=float)
     ysa = np.asarray(y_star, dtype=float)
-    scalar = ya.ndim == 0 and ysa.ndim == 0
     a1, a2 = params.alpha1, params.alpha2
-    hy = herding(params, ya)
-    hs = herding(params, ysa)
-    y_new = (1.0 - a1 * hy - a2) * ya + a1 * hy * ysa + a2 * phi_val \
-        + diffusion(params, ya) * eta
-    ys_new = (1.0 - a1 * hs - a2) * ysa + a1 * hs * ya + a2 * phi_val \
-        + diffusion(params, ysa) * eta_star
-    rejected = (np.abs(y_new) > 1.0) | (np.abs(ys_new) > 1.0)
-    y_out = np.where(rejected, ya, y_new)
-    ys_out = np.where(rejected, ysa, ys_new)
-    if scalar:
-        return float(y_out), float(ys_out), bool(rejected)
-    return y_out, ys_out, rejected
+    y_buf, ys_buf, tmp = (None, None, None) if out is None else out
+    proposed = []
+    for u, partner, noise, new in ((ya, ysa, eta, y_buf),
+                                   (ysa, ya, eta_star, ys_buf)):
+        # (1 - a1 H(u) - a2) u + a1 H(u) partner + a2 phi + D(u) noise, summed
+        # left to right; the in-place steps apply to arrays (not to scalars)
+        a1h = herding(params, u, out=tmp)
+        a1h *= a1
+        new = np.subtract(1.0, a1h, out=new)
+        new -= a2
+        new *= u
+        a1h *= partner
+        new += a1h
+        new += a2 * phi_val
+        d = diffusion(params, u, out=tmp)
+        d *= noise
+        new += d
+        proposed.append(new)
+    y_new, ys_new = proposed
+    rejected = np.abs(y_new, out=tmp) > 1.0
+    rejected |= np.abs(ys_new, out=tmp) > 1.0
+    if ya.ndim == 0 and ysa.ndim == 0:
+        if rejected:
+            return float(ya), float(ysa), True
+        return float(y_new), float(ys_new), False
+    np.copyto(y_new, ya, where=rejected)
+    np.copyto(ys_new, ysa, where=rejected)
+    return y_new, ys_new, rejected
 
 
 def step_chartists(ensemble: AgentEnsemble, market: MarketState,
                    params: ModelParams, dt: float, rng,
-                   pool: "_StreamPool | None" = None) -> int:
+                   idx: np.ndarray | None = None,
+                   work: _Workspace | None = None) -> int:
     """Pair-interaction step over the chartist subpopulation.
 
     Partitions the chartists into floor(N_C/2) disjoint uniformly random
     pairs; each pair interacts with probability rho_C * dt (a leftover odd
-    agent is untouched).  Returns the number of rejected interactions.
+    agent is untouched).  ``idx`` is ``np.flatnonzero(ensemble.is_chartist)``
+    when the caller holds it.  Returns the number of rejected interactions.
     """
-    idx = np.flatnonzero(ensemble.is_chartist)
+    if idx is None:
+        idx = np.flatnonzero(ensemble.is_chartist)
     n_c = idx.size
     rho_C = n_c / ensemble.N
     if dt * rho_C > 1.0:
@@ -296,23 +332,32 @@ def step_chartists(ensemble: AgentEnsemble, market: MarketState,
         )
     if n_c < 2:
         return 0
+    work = _Workspace() if work is None else work
+    # np.take with mode="clip" writes straight into its buffer; every index
+    # is in range
     perm = rng.permutation(n_c)
+    if not _is_prefix(idx):  # positions among the chartists -> agents
+        perm = np.take(idx, perm, out=work("agents", n_c, np.intp), mode="clip")
     m = n_c // 2
-    first = idx[perm[:m]]
-    second = idx[perm[m:2 * m]]
-    hit = rng.random(m) < rho_C * dt
-    first = first[hit]
-    second = second[hit]
-    if first.size == 0:
+    hit = rng.random(out=work("u", m)) < rho_C * dt
+    if hit.all():
+        first, second = perm[:m], perm[m:2 * m]
+    else:
+        hit = np.flatnonzero(hit)
+        first = np.take(perm, hit, out=work("first", hit.size, np.intp),
+                        mode="clip")
+        second = np.take(perm[m:], hit, out=work("second", hit.size, np.intp),
+                         mode="clip")
+    k = first.size
+    if k == 0:
         return 0
     c = math.sqrt(3.0 * params.sigma2_opinion)
-    if pool is None:
-        noise = rng.uniform(-c, c, 2 * first.size)
-    else:
-        noise = pool.uniform(-c, c, 2 * first.size)
-    eta, eta_star = noise[:first.size], noise[first.size:]
+    noise = rng.uniform(-c, c, 2 * k)
+    y1 = np.take(ensemble.y, first, out=work("pair_y", k), mode="clip")
+    y2 = np.take(ensemble.y, second, out=work("pair_y_star", k), mode="clip")
     y1, y2, rejected = binary_interact(
-        ensemble.y[first], ensemble.y[second], market.phi, eta, eta_star, params
+        y1, y2, market.phi, noise[:k], noise[k:], params,
+        out=(work("new_y", k), work("new_y_star", k), work("tmp", k)),
     )
     ensemble.y[first] = y1
     ensemble.y[second] = y2
@@ -321,56 +366,61 @@ def step_chartists(ensemble: AgentEnsemble, market: MarketState,
 
 def step_price(prices: PriceEnsemble, Y: float, rho_C: float, rho_F: float,
                params: ModelParams, dt: float, rng,
-               pool: "_StreamPool | None" = None) -> PriceEnsemble:
+               work: _Workspace | None = None) -> PriceEnsemble:
     """Update every price sample independently and refresh the trend estimate.
 
     The drift is scaled by dt and the noise variance by dt; the noise support
     is validated against the nonnegativity bound for the current population
     split before any sample is touched.
     """
-    d = price_noise_halfwidth(params, rho_C, rho_F, dt)
+    validate_price_noise(params, rho_C, rho_F, dt)
     c = math.sqrt(3.0 * params.zeta2_price * dt)
-    if c > d:
-        raise ConfigurationError(
-            f"price-noise variance {params.zeta2_price} inadmissible at "
-            f"rho_C={rho_C}, rho_F={rho_F}: maximum admissible variance is "
-            f"{max_price_noise_variance(params, rho_C, rho_F, dt)}"
-        )
     s = prices.samples
-    if pool is None:
-        eta = rng.uniform(-c, c, s.size)
-        new = s + dt * params.beta * (rho_C * params.t_C * Y * s
-                                      + rho_F * params.gamma_f * (params.S_F - s)) \
-            + eta * s
-    else:
-        new = pool.price_update(s, Y, rho_C, rho_F, params, dt, c)
-    if np.any(new < 0.0):
-        worst = int(np.argmin(new))
+    eta = rng.uniform(-c, c, s.size)
+    work = _Workspace() if work is None else work
+    # s + dt beta (rho_C t_C Y s + rho_F gamma_f (S_F - s)) + eta s
+    new = np.multiply(s, rho_C * params.t_C * Y, out=work("prices", s.size))
+    reversion = np.subtract(params.S_F, s, out=work("tmp", s.size))
+    reversion *= rho_F * params.gamma_f
+    new += reversion
+    new *= dt * params.beta
+    new += s
+    eta *= s
+    new += eta
+    s_min = float(new.min())
+    if s_min < 0.0:
         raise InvariantViolation(
-            f"price sample {worst} became negative ({new[worst]}) despite an "
-            f"admissible noise support; rho_C={rho_C}, rho_F={rho_F}, dt={dt}"
+            f"price sample {int(np.argmin(new))} became negative ({s_min}) "
+            f"despite an admissible noise support; rho_C={rho_C}, "
+            f"rho_F={rho_F}, dt={dt}"
         )
-    prices.samples = new
-    prices.S_prev = prices.S_curr
-    prices.S_curr = float(new.mean())
-    if prices.S_curr > 0.0:
-        prices.trend = (prices.S_curr - prices.S_prev) / (dt * prices.S_curr)
-    else:
-        prices.trend = 0.0
+    work["prices"] = s  # the old samples become the next step's buffer
+    S_prev = prices.S_curr
+    prices.samples, prices.s_min, prices.S_curr = new, s_min, float(new.mean())
+    prices.trend = (prices.S_curr - S_prev) / (dt * prices.S_curr) \
+        if prices.S_curr > 0.0 else 0.0
     return prices
 
 
 def _switch_probabilities(params: ModelParams, dt: float, rho_other: float,
-                          payoff_gain) -> np.ndarray:
-    """min(1, dt * mu * rho_other * exp(sigma * payoff_gain)), overflow-safe."""
-    expo = np.minimum(params.sigma_switch * np.asarray(payoff_gain, dtype=float),
-                      _MAX_SWITCH_EXPONENT)
-    return np.minimum(1.0, dt * params.mu_freq * rho_other * np.exp(expo))
+                          payoff_gain, out=None) -> np.ndarray:
+    """min(1, dt * mu * rho_other * exp(sigma * payoff_gain)), overflow-safe.
+
+    ``out``, an array shaped like the result (it may be ``payoff_gain``),
+    receives it when given.
+    """
+    expo = np.multiply(params.sigma_switch, payoff_gain, out=out)
+    expo = np.minimum(expo, _MAX_SWITCH_EXPONENT, out=out)
+    rate = np.multiply(dt * params.mu_freq * rho_other, np.exp(expo, out=out),
+                       out=out)
+    return np.minimum(1.0, rate, out=out)
 
 
 def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
                            params: ModelParams, dt: float,
-                           rng: np.random.Generator) -> tuple[int, int]:
+                           rng: np.random.Generator,
+                           idx: np.ndarray | None = None,
+                           work: _Workspace | None = None) -> tuple[int, int]:
     """Stochastic strategy switching, evaluated against the pre-update population.
 
     A chartist with propensity y turns fundamentalist with probability
@@ -379,30 +429,40 @@ def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
     draw from the current chartist propensity pool (the profit of the chartist
     strategy is sign-valued in y, so the mean propensity is not a sufficient
     statistic).  A switching fundamentalist adopts the ybar it evaluated.
-    Returns (chartist->fundamentalist, fundamentalist->chartist) counts.
+    ``idx`` is ``np.flatnonzero(ensemble.is_chartist)`` when the caller holds
+    it.  Returns (chartist->fundamentalist, fundamentalist->chartist) counts.
     """
     if market.S <= 0.0:
         raise ValueError(f"price must be positive for strategy exchange, got {market.S}")
-    c_idx = np.flatnonzero(ensemble.is_chartist)
+    work = _Workspace() if work is None else work
+    c_idx = np.flatnonzero(ensemble.is_chartist) if idx is None else idx
     f_idx = np.flatnonzero(~ensemble.is_chartist)
-    rho_C = c_idx.size / ensemble.N
+    n_c, n_f = c_idx.size, f_idx.size
+    rho_C = n_c / ensemble.N
     rho_F = 1.0 - rho_C
     x_f = fundamentalist_profit(params, market.S)
     s_dot = market.trend * market.S
+    yc = ensemble.chartist_y(c_idx, out=work("chartist_y", n_c))
 
     to_fund = np.zeros(0, dtype=np.intp)
-    if c_idx.size and rho_F > 0.0:
-        x_c = chartist_profit(params, ensemble.y[c_idx], market.S, s_dot)
-        p_cf = _switch_probabilities(params, dt, rho_F, x_f - x_c)
-        to_fund = c_idx[rng.random(c_idx.size) < p_cf]
+    if n_c and rho_F > 0.0:
+        gain = chartist_profit(params, yc, market.S, s_dot,
+                               out=work("tmp", n_c))
+        p_cf = _switch_probabilities(params, dt, rho_F,
+                                     np.subtract(x_f, gain, out=gain), out=gain)
+        u = rng.random(out=work("u", n_c))
+        to_fund = c_idx[np.flatnonzero(u < p_cf)]
 
     to_chart = np.zeros(0, dtype=np.intp)
     adopted = np.zeros(0)
-    if f_idx.size and c_idx.size:
-        ybar = rng.choice(ensemble.y[c_idx], size=f_idx.size, replace=True)
-        x_c_bar = chartist_profit(params, ybar, market.S, s_dot)
-        p_fc = _switch_probabilities(params, dt, rho_C, x_c_bar - x_f)
-        hit = rng.random(f_idx.size) < p_fc
+    if n_f and n_c:
+        ybar = rng.choice(yc, size=n_f, replace=True)
+        gain = chartist_profit(params, ybar, market.S, s_dot,
+                               out=work("tmp", n_f))
+        p_fc = _switch_probabilities(params, dt, rho_C,
+                                     np.subtract(gain, x_f, out=gain), out=gain)
+        u = rng.random(out=work("u", n_f))
+        hit = np.flatnonzero(u < p_fc)
         to_chart = f_idx[hit]
         adopted = ybar[hit]
 
@@ -412,142 +472,85 @@ def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
     return int(to_fund.size), int(to_chart.size)
 
 
-class _StreamPool:
-    """Per-worker RNG substreams plus a thread pool for the two inner loops.
-
-    Stream j handles a fixed contiguous chunk of each draw, so results are
-    deterministic for a fixed (seed, n_streams) pair, but the stream
-    assignment differs from sequential mode: sample-level values change,
-    sampled distributions do not.
-    """
-
-    def __init__(self, seed: int, n_streams: int):
-        seqs = np.random.SeedSequence(seed).spawn(n_streams)
-        self.rngs = [np.random.default_rng(s) for s in seqs]
-        self.executor = ThreadPoolExecutor(max_workers=n_streams)
-
-    def close(self) -> None:
-        self.executor.shutdown()
-
-    def _bounds(self, n: int) -> list[tuple[int, int]]:
-        cuts = np.linspace(0, n, len(self.rngs) + 1).astype(int)
-        return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:])]
-
-    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        out = np.empty(n)
-
-        def fill(j, a, b):
-            out[a:b] = self.rngs[j].uniform(lo, hi, b - a)
-
-        futures = [self.executor.submit(fill, j, a, b)
-                   for j, (a, b) in enumerate(self._bounds(n))]
-        for f in futures:
-            f.result()
-        return out
-
-    def price_update(self, s: np.ndarray, Y: float, rho_C: float, rho_F: float,
-                     params: ModelParams, dt: float, c: float) -> np.ndarray:
-        out = np.empty_like(s)
-        coeff = dt * params.beta
-
-        def work(j, a, b):
-            chunk = s[a:b]
-            eta = self.rngs[j].uniform(-c, c, b - a)
-            out[a:b] = chunk + coeff * (rho_C * params.t_C * Y * chunk
-                                        + rho_F * params.gamma_f * (params.S_F - chunk)) \
-                + eta * chunk
-
-        futures = [self.executor.submit(work, j, a, b)
-                   for j, (a, b) in enumerate(self._bounds(s.size))]
-        for f in futures:
-            f.result()
-        return out
-
-
-def _recenter(ensemble: AgentEnsemble) -> None:
+def _recenter(ensemble: AgentEnsemble, idx: np.ndarray,
+              work: _Workspace) -> None:
     # subtract the empirical chartist mean, then clamp back into [-1, 1]
-    mask = ensemble.is_chartist
-    if mask.any():
-        yc = ensemble.y[mask]
-        ensemble.y[mask] = np.clip(yc - yc.mean(), -1.0, 1.0)
+    if idx.size:
+        yc = ensemble.chartist_y(idx, out=work("chartist_y", idx.size))
+        yc -= yc.mean()
+        np.clip(yc, -1.0, 1.0, out=yc)
+        if not _is_prefix(idx):
+            ensemble.y[idx] = yc
 
 
 def run(config: SimConfig) -> Trajectory:
     """Run the full coupled simulation and return its recorded trajectory.
 
-    Deterministic for a fixed seed in sequential mode.  Each iteration
-    executes: (1) refresh of the frozen market state, (2) chartist pair
-    interactions (followed by mean re-centering when ``pin_mean`` is set),
-    (3) strategy exchange when enabled, (4) price-sample updates.  Statistics
-    are recorded after step 4; the trajectory has n_iters + 1 records.
+    Deterministic for a fixed seed.  Each iteration executes: (1) refresh of
+    the frozen market state, (2) chartist pair interactions (followed by mean
+    re-centering when ``pin_mean`` is set), (3) strategy exchange when
+    enabled, (4) price-sample updates.  Statistics are recorded after step 4;
+    the trajectory has n_iters + 1 records.
     """
     params = config.params
     validate_opinion_noise(params)
     rng = np.random.default_rng(config.seed)
-    pool = _StreamPool(config.seed, config.n_streams) if config.n_streams > 1 else None
 
     ensemble = AgentEnsemble.initialize(config.N, config.rho_C0,
                                         config.chartist_init, rng)
     prices = PriceEnsemble.initialize(config.N_s, config.S0)
 
     n_rec = config.n_iters + 1
-    t = np.empty(n_rec)
-    S = np.empty(n_rec)
-    Y = np.empty(n_rec)
-    rho_C = np.empty(n_rec)
-    rho_F = np.empty(n_rec)
-    E = np.empty(n_rec)
+    t, S, Y, rho_C, rho_F, E, max_abs_y, min_price = np.empty((8, n_rec))
     n_chart = np.empty(n_rec, dtype=np.int64)
-    max_abs_y = np.empty(n_rec)
-    min_price = np.empty(n_rec)
+    work = _Workspace()
 
-    def record(i: int) -> None:
+    def record(i: int, idx: np.ndarray) -> None:
         t[i] = i * config.dt
         S[i] = prices.S_curr
-        Y[i] = ensemble.mean_propensity()
-        rc = ensemble.rho_C
+        yc_buf = work("chartist_y", idx.size)
+        Y[i] = ensemble.mean_propensity(idx, yc_buf)
+        rc = idx.size / ensemble.N
         rho_C[i] = rc
         rho_F[i] = 1.0 - rc
-        E[i] = prices.second_moment
-        n_chart[i] = ensemble.n_chartists
-        mask = ensemble.is_chartist
-        max_abs_y[i] = float(np.abs(ensemble.y[mask]).max()) if mask.any() else 0.0
-        min_price[i] = float(prices.samples.min())
+        s = prices.samples
+        E[i] = np.mean(np.multiply(s, s, out=work("tmp", s.size)))
+        n_chart[i] = idx.size
+        yc = ensemble.chartist_y(idx, yc_buf)
+        max_abs_y[i] = np.abs(yc, out=work("tmp", yc.size)).max() \
+            if yc.size else 0.0
+        min_price[i] = prices.s_min
 
-    record(0)
+    # the chartist index changes only in a strategy exchange
+    idx = np.flatnonzero(ensemble.is_chartist)
+    record(0, idx)
     n_rejected = 0
     n_cf = 0
     n_fc = 0
-    try:
-        for i in range(1, n_rec):
-            y_mean = ensemble.mean_propensity()
-            rc = ensemble.rho_C
-            rf = 1.0 - rc
-            if config.phi_override is None:
-                phi = value_function(config.value_spec, prices.trend)
-            else:
-                phi = config.phi_override
-            market = MarketState(S=prices.S_curr, trend=prices.trend, phi=phi)
-            n_rejected += step_chartists(ensemble, market, params, config.dt,
-                                         rng, pool)
-            if config.pin_mean:
-                _recenter(ensemble)
-            if config.enable_switching:
-                cf, fc = step_strategy_exchange(ensemble, market, params,
-                                                config.dt, rng)
-                n_cf += cf
-                n_fc += fc
-            step_price(prices, y_mean, rc, rf, params, config.dt, rng, pool)
-            record(i)
-    finally:
-        if pool is not None:
-            pool.close()
+    for i in range(1, n_rec):
+        # the market state frozen for this iteration is the last record's
+        phi = value_function(config.value_spec, prices.trend)
+        market = MarketState(S=prices.S_curr, trend=prices.trend, phi=phi)
+        n_rejected += step_chartists(ensemble, market, params, config.dt,
+                                     rng, idx, work)
+        if config.pin_mean:
+            _recenter(ensemble, idx, work)
+        if config.enable_switching:
+            cf, fc = step_strategy_exchange(ensemble, market, params,
+                                            config.dt, rng, idx, work)
+            n_cf += cf
+            n_fc += fc
+            if cf or fc:
+                idx = np.flatnonzero(ensemble.is_chartist)
+        step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]),
+                   float(rho_F[i - 1]), params, config.dt, rng, work)
+        record(i, idx)
 
     return Trajectory(
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,
         max_abs_y=max_abs_y, min_price=min_price,
         N=config.N, dt=config.dt,
-        y_final=ensemble.y[ensemble.is_chartist].copy(),
+        y_final=ensemble.chartist_y(idx).copy(),
         s_final=prices.samples.copy(),
         n_rejected=n_rejected, n_switches_cf=n_cf, n_switches_fc=n_fc,
     )

@@ -33,6 +33,8 @@ from kinmarket.model import (
 )
 from kinmarket.simulation import SimConfig, run
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 1
 REGIME_SEEDS = tuple(range(1, 11))
 

@@ -206,6 +206,38 @@ class TestMainCommand:
         assert (out1 / "trajectory.csv").read_bytes() == \
             (out2 / "trajectory.csv").read_bytes()
 
+    def test_config_replay_keeps_the_saved_seed(self, tmp_path):
+        # no --seed on the replay: the config file's seed must be used, not 0
+        out1 = tmp_path / "orig"
+        assert main(["run", "--preset", "test1", "--seed", "11",
+                     "--out", str(out1)] + SMALL) == 0
+        out2 = tmp_path / "replay"
+        assert main(["run", "--preset", "custom",
+                     "--config", str(out1 / "config.txt"),
+                     "--out", str(out2)]) == 0
+        assert (out1 / "trajectory.csv").read_bytes() == \
+            (out2 / "trajectory.csv").read_bytes()
+
+    def test_config_with_retired_n_streams_replays(self, tmp_path):
+        # config files written before the thread-pool mode was removed carry
+        # n_streams=1, the sequential mode every run now uses
+        out1 = tmp_path / "orig"
+        assert main(["run", "--preset", "test2", "--seed", "5",
+                     "--out", str(out1)] + SMALL) == 0
+        cfg = out1 / "config.txt"
+        assert "n_streams" not in cfg.read_text()
+        cfg.write_text(cfg.read_text() + "n_streams=1\n")
+        out2 = tmp_path / "replay"
+        assert main(["run", "--preset", "custom", "--config", str(cfg),
+                     "--out", str(out2)]) == 0
+        for name in ("trajectory.csv", "y_samples.txt", "s_samples.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_run_without_seed_uses_seed_zero(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--out", str(out)] + SMALL) == 0
+        assert load_config_file(out / "config.txt")["seed"] == 0
+
     def test_analyze_recomputes_summary(self, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--preset", "test1", "--seed", "5",
@@ -218,13 +250,6 @@ class TestMainCommand:
     def test_analyze_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "missing")]) == 1
         assert "ERROR:config:" in capsys.readouterr().err
-
-    def test_parallel_flag(self, tmp_path):
-        out = tmp_path / "par"
-        assert main(["run", "--preset", "test1", "--seed", "3",
-                     "--out", str(out), "--parallel", "3"] + SMALL) == 0
-        cfg = load_config_file(out / "config.txt")
-        assert cfg["n_streams"] == 3
 
     def test_pin_mean_override(self, tmp_path):
         out = tmp_path / "pin"
