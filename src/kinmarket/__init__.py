@@ -22,17 +22,14 @@ from .fokker_planck import (
     MacroState,
     ParetoSteadyState,
     PriceCollapse,
-    chartist_equilibrium_density,
     classify_equilibrium,
     lognormal_price_density,
     macro_ode_step,
     pareto_steady_state,
-    second_moment_evolution,
     solve_Y_fixed_point,
 )
 from .simulation import (
     AgentEnsemble,
-    MarketState,
     PriceEnsemble,
     SimConfig,
     Trajectory,
@@ -49,7 +46,6 @@ from .stats import (
     ks_statistic,
     l1_density_distance,
     lognormal_fit,
-    moments,
 )
 
 __version__ = "0.1.0"

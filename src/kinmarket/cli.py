@@ -89,23 +89,12 @@ PRESETS: dict[str, dict] = {
     "test3c": dict(_TEST3_COMMON, alpha1=0.5, alpha2=0.4),
 }
 
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams) if f.init)
-_VALUE_KEYS = tuple(f.name for f in fields(ValueFunctionSpec))
-_FLOAT_KEYS = _PARAM_KEYS + _VALUE_KEYS + ("dt", "S0", "rho_C0", "hill_k_frac")
-_INT_KEYS = ("N", "N_s", "n_iters", "seed", "bins_y", "bins_s")
-_BOOL_KEYS = ("enable_switching", "pin_mean", "overlay_chartist",
-              "overlay_lognormal", "overlay_pareto")
-REQUIRED_KEYS = _FLOAT_KEYS \
-    + tuple(k for k in _INT_KEYS if k != "seed") \
-    + _BOOL_KEYS + ("chartist_init",)
-
 
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment: simulation config plus analysis settings."""
 
     preset: str
-    seed: int
     out_dir: Path | None
     sim: SimConfig
     overlay_chartist: bool
@@ -116,17 +105,33 @@ class ExperimentConfig:
     bins_s: int
 
 
+def _fields(cls, skip=()) -> dict:
+    # constructor fields of a dataclass: name -> annotation (a string here)
+    return {f.name: f.type for f in fields(cls) if f.init and f.name not in skip}
+
+
+_PARAM_FIELDS = _fields(ModelParams)
+_VALUE_FIELDS = _fields(ValueFunctionSpec)
+_SIM_FIELDS = _fields(SimConfig, skip=("params", "value_spec"))
+_ANALYSIS_FIELDS = _fields(ExperimentConfig, skip=("preset", "out_dir", "sim"))
+# every config key with its type, in config.txt order but for "preset"
+_SCHEMA = {**_PARAM_FIELDS, **_VALUE_FIELDS, **_SIM_FIELDS, **_ANALYSIS_FIELDS}
+REQUIRED_KEYS = tuple(k for k in _SCHEMA if k != "seed")
+# keys of older versions that still load, and do nothing
+_RETIRED_KEYS = ("n_streams",)
+
+
 def preset_names() -> list[str]:
     return list(PRESETS) + ["custom"]
 
 
-def preset(name: str, overrides: dict | None = None, seed: int = 0,
+def preset(name: str, overrides: dict | None = None,
            out_dir=None) -> ExperimentConfig:
     """Build a complete experiment configuration from a named preset.
 
     ``custom`` starts from an empty table and therefore requires every field
     in ``overrides`` (typically loaded from a config file); named presets
-    accept partial overrides.
+    accept partial overrides.  A key outside the config schema is an error.
     """
     if name in PRESETS:
         table = dict(PRESETS[name])
@@ -137,32 +142,24 @@ def preset(name: str, overrides: dict | None = None, seed: int = 0,
             f"unknown preset {name!r}; known: {', '.join(preset_names())}"
         )
     table.update(overrides or {})
+    unknown = [k for k in table if k not in _SCHEMA and k not in _RETIRED_KEYS]
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     missing = [k for k in REQUIRED_KEYS if k not in table]
     if missing:
         raise ConfigurationError(
             f"preset {name!r} is missing required fields: {', '.join(sorted(missing))}"
         )
-    params = ModelParams(**{k: table[k] for k in _PARAM_KEYS})
-    value_spec = ValueFunctionSpec(**{k: table[k] for k in _VALUE_KEYS})
-    init = table["chartist_init"]
-    if init == "equilibrium":
+    params = ModelParams(**{k: table[k] for k in _PARAM_FIELDS})
+    value_spec = ValueFunctionSpec(**{k: table[k] for k in _VALUE_FIELDS})
+    sim = {k: table[k] for k in _SIM_FIELDS if k in table}  # seed may be absent
+    if sim["chartist_init"] == "equilibrium":
         kappa = params.sigma2_opinion / (params.alpha1 + params.alpha2)
-        eq = fp.ChartistEquilibrium(0.0, kappa)
-        init = _EquilibriumInit(eq)
-    sim = SimConfig(
-        params=params, value_spec=value_spec, N=table["N"], N_s=table["N_s"],
-        dt=table["dt"], n_iters=table["n_iters"], seed=int(table.get("seed", seed)),
-        enable_switching=table["enable_switching"], S0=table["S0"],
-        rho_C0=table["rho_C0"], chartist_init=init, pin_mean=table["pin_mean"],
-    )
+        sim["chartist_init"] = _EquilibriumInit(fp.ChartistEquilibrium(0.0, kappa))
     return ExperimentConfig(
-        preset=name, seed=sim.seed, out_dir=Path(out_dir) if out_dir else None,
-        sim=sim,
-        overlay_chartist=table["overlay_chartist"],
-        overlay_lognormal=table["overlay_lognormal"],
-        overlay_pareto=table["overlay_pareto"],
-        hill_k_frac=table["hill_k_frac"],
-        bins_y=table["bins_y"], bins_s=table["bins_s"],
+        preset=name, out_dir=Path(out_dir) if out_dir else None,
+        sim=SimConfig(params=params, value_spec=value_spec, **sim),
+        **{k: table[k] for k in _ANALYSIS_FIELDS},
     )
 
 
@@ -232,18 +229,13 @@ def _write_keyvalues(path: Path, table: dict) -> None:
 
 
 def _config_table(config: ExperimentConfig) -> dict:
-    p, v, s = config.sim.params, config.sim.value_spec, config.sim
-    table = {k: getattr(p, k) for k in _PARAM_KEYS}
-    table.update({k: getattr(v, k) for k in _VALUE_KEYS})
-    table.update(N=s.N, N_s=s.N_s, dt=s.dt, n_iters=s.n_iters, seed=s.seed,
-                 enable_switching=s.enable_switching, S0=s.S0, rho_C0=s.rho_C0,
-                 chartist_init=str(s.chartist_init), pin_mean=s.pin_mean,
-                 preset=config.preset,
-                 overlay_chartist=config.overlay_chartist,
-                 overlay_lognormal=config.overlay_lognormal,
-                 overlay_pareto=config.overlay_pareto,
-                 hill_k_frac=config.hill_k_frac,
-                 bins_y=config.bins_y, bins_s=config.bins_s)
+    s = config.sim
+    table = {k: getattr(s.params, k) for k in _PARAM_FIELDS}
+    table.update({k: getattr(s.value_spec, k) for k in _VALUE_FIELDS})
+    table.update({k: getattr(s, k) for k in _SIM_FIELDS})
+    table["chartist_init"] = str(s.chartist_init)
+    table["preset"] = config.preset
+    table.update({k: getattr(config, k) for k in _ANALYSIS_FIELDS})
     return table
 
 
@@ -276,8 +268,12 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
         "min_price_terminal": float(traj.s_final.min()) if traj.s_final.size else 0.0,
         "max_abs_y_terminal": float(np.abs(traj.y_final).max()) if traj.y_final.size else 0.0,
         "rho_sum_exact": bool(np.all(traj.rho_C + traj.rho_F == 1.0)),
+        # n_chartists / N must give rho_C back exactly, so an edited rho_C
+        # fails the check when analyze rebuilds the counts from it
         "n_agents_constant": bool(np.all((traj.n_chartists >= 0)
-                                         & (traj.n_chartists <= traj.N))),
+                                         & (traj.n_chartists <= traj.N)
+                                         & (traj.n_chartists / traj.N
+                                            == traj.rho_C))),
     }
 
     if traj.y_final.size:
@@ -363,21 +359,25 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    kind = _SCHEMA.get(key)
+    if kind == "bool":
         if raw.lower() in ("true", "1", "on", "yes"):
             return True
         if raw.lower() in ("false", "0", "off", "no"):
             return False
         raise ConfigurationError(f"cannot parse boolean {key}={raw!r}")
-    if key in _INT_KEYS:
+    if kind == "int":
         return int(raw)
-    if key in _FLOAT_KEYS:
+    if kind == "float":
         return float(raw)
     return raw
 
 
 def load_config_file(path) -> dict:
-    """Read a flat key=value config file (# starts a comment)."""
+    """Read a flat key=value config file (# starts a comment).
+
+    The table keeps a ``preset`` line; ``out`` lines are skipped.
+    """
     table: dict = {}
     p = Path(path)
     if not p.exists():
@@ -390,7 +390,7 @@ def load_config_file(path) -> dict:
             raise ConfigurationError(f"{p}:{ln}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key == "preset" or key == "out":
+        if key == "out":
             continue
         table[key] = _parse_value(key, raw)
     return table
@@ -434,6 +434,7 @@ def _cmd_run(args) -> int:
     overrides: dict = {}
     if args.config:
         overrides.update(load_config_file(args.config))
+        overrides.pop("preset", None)  # --preset names the run
     pin_mean = None if args.pin_mean is None else args.pin_mean == "on"
     for key, value in (("n_iters", args.iters), ("N", args.n_agents),
                        ("N_s", args.n_price_samples), ("zeta2_price", args.zeta2),
@@ -466,11 +467,7 @@ def _cmd_analyze(args) -> int:
     if not cfg_path.exists():
         raise ConfigurationError(f"{out} does not contain a config.txt")
     table = load_config_file(cfg_path)
-    raw = dict(
-        (ln.split("=", 1) for ln in cfg_path.read_text().splitlines() if "=" in ln)
-    )
-    config = preset(raw.get("preset", "custom"), table,
-                    seed=int(table.get("seed", 0)), out_dir=out)
+    config = preset(table.pop("preset", "custom"), table, out_dir=out)
     y = np.loadtxt(out / "y_samples.txt", ndmin=1)
     s = np.loadtxt(out / "s_samples.txt", ndmin=1)
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -486,6 +483,9 @@ def _cmd_analyze(args) -> int:
     summary = _analyze_outputs(config, traj, out)
     for k, v in summary.items():
         print(f"{k}={_fmt(v)}")
+    broken = [k for k in ("rho_sum_exact", "n_agents_constant") if not summary[k]]
+    if broken:
+        raise InvariantViolation(f"{out}: {', '.join(broken)} is false")
     return 0
 
 

@@ -31,17 +31,16 @@ from .model import (
     ConfigurationError,
     ModelParams,
     NumericsError,
+    price_drift,
 )
 
 __all__ = [
     "FokkerPlanckParams",
     "ChartistEquilibrium",
-    "chartist_equilibrium_density",
     "chartist_stationary_residual",
     "lognormal_price_density",
     "lognormal_price_cdf",
     "lognormal_log_params",
-    "second_moment_evolution",
     "ParetoSteadyState",
     "pareto_steady_state",
     "MacroState",
@@ -53,6 +52,27 @@ __all__ = [
 ]
 
 _QUAD_ABS_TOL = 1e-10
+
+
+def _on_support(x, inside, f, fill: float = 0.0):
+    """f on the entries of x where ``inside`` holds, ``fill`` elsewhere.
+
+    Accepts a scalar or an array and returns the same shape.
+    """
+    arr = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(arr)
+    out = np.full_like(xv, fill)
+    mask = inside(xv)
+    out[mask] = f(xv[mask])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _positive(x):
+    return x > 0.0
+
+
+def _inside_unit(x):
+    return np.abs(x) < 1.0
 
 
 @dataclass(frozen=True)
@@ -151,22 +171,18 @@ class ChartistEquilibrium:
 
     def __call__(self, y):
         """Density value(s) at y; zero outside (-1, 1)."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        yv = np.atleast_1d(arr)
-        out = np.zeros_like(yv)
-        inside = np.abs(yv) < 1.0
-        yi = yv[inside]
-        one_m_y2 = (1.0 - yi) * (1.0 + yi)
+        return _on_support(y, _inside_unit, self._density_inside)
+
+    def _density_inside(self, y: np.ndarray) -> np.ndarray:
+        one_m_y2 = (1.0 - y) * (1.0 + y)
         with np.errstate(divide="ignore", over="ignore"):
             logf = (
                 self._log_c0
-                + self._p * np.log1p(yi)
-                + self._q * np.log1p(-yi)
-                - (1.0 - self.Y_star * yi) / (self.kappa * one_m_y2)
+                + self._p * np.log1p(y)
+                + self._q * np.log1p(-y)
+                - (1.0 - self.Y_star * y) / (self.kappa * one_m_y2)
             )
-        out[inside] = np.exp(logf)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return np.exp(logf)
 
     def log_density_derivatives(self, y):
         """First and second derivatives of log f, in closed form."""
@@ -194,16 +210,6 @@ class ChartistEquilibrium:
             out[filled:filled + take] = acc[:take]
             filled += take
         return out
-
-
-def chartist_equilibrium_density(y, Y_star: float, kappa: float, rho_C: float = 1.0):
-    """Normalized equilibrium density at y (convenience wrapper).
-
-    Builds a :class:`ChartistEquilibrium` (one quadrature for the
-    normalization) and evaluates it; construct the class directly for
-    repeated evaluation.
-    """
-    return ChartistEquilibrium(Y_star, kappa, rho_C)(y)
 
 
 def chartist_stationary_residual(eq: ChartistEquilibrium, y, alpha_t_sum: float,
@@ -236,26 +242,17 @@ def lognormal_price_density(s, S_tau: float, E_tau: float):
     E_tau -> S_tau^2 concentrates all mass at s = S_tau.
     """
     m, v = lognormal_log_params(S_tau, E_tau)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    sv = np.atleast_1d(arr)
-    out = np.zeros_like(sv)
-    pos = sv > 0.0
-    sp = sv[pos]
-    out[pos] = np.exp(-((np.log(sp) - m) ** 2) / (2.0 * v)) / (sp * math.sqrt(2.0 * math.pi * v))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+    def density(sp):
+        return np.exp(-((np.log(sp) - m) ** 2) / (2.0 * v)) / (sp * math.sqrt(2.0 * math.pi * v))
+
+    return _on_support(s, _positive, density)
 
 
 def lognormal_price_cdf(s, S_tau: float, E_tau: float):
     """CDF of the self-similar lognormal price law."""
     m, v = lognormal_log_params(S_tau, E_tau)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    sv = np.atleast_1d(arr)
-    out = np.zeros_like(sv)
-    pos = sv > 0.0
-    out[pos] = ndtr((np.log(sv[pos]) - m) / math.sqrt(v))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _on_support(s, _positive, lambda sp: ndtr((np.log(sp) - m) / math.sqrt(v)))
 
 
 def lognormal_log_params(S_tau: float, E_tau: float) -> tuple[float, float]:
@@ -270,14 +267,6 @@ def lognormal_log_params(S_tau: float, E_tau: float) -> tuple[float, float]:
     v = math.log(E_tau / (S_tau * S_tau))
     m = 2.0 * math.log(S_tau) - 0.5 * math.log(E_tau)
     return m, v
-
-
-def second_moment_evolution(E0: float, Y: float, t_C: float, beta_t: float,
-                            nu: float, tau: float) -> float:
-    """Closed-form E(tau) = E0 exp((2 beta_t Y t_C + nu) tau)."""
-    if E0 <= 0.0:
-        raise ValueError("initial second moment E0 must be positive")
-    return E0 * math.exp((2.0 * beta_t * Y * t_C + nu) * tau)
 
 
 @dataclass(frozen=True)
@@ -310,32 +299,16 @@ class ParetoSteadyState:
         return (self.mu_exp - 1.0) * self.S_F
 
     def pdf(self, s):
-        arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        sv = np.atleast_1d(arr)
-        out = np.zeros_like(sv)
-        pos = sv > 0.0
-        sp = sv[pos]
-        out[pos] = np.exp(self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return _on_support(s, _positive, lambda sp: np.exp(
+            self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
 
     def cdf(self, s):
-        arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        sv = np.atleast_1d(arr)
-        out = np.zeros_like(sv)
-        pos = sv > 0.0
-        out[pos] = gammaincc(self.mu_exp, self.scale / sv[pos])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return _on_support(s, _positive,
+                           lambda sp: gammaincc(self.mu_exp, self.scale / sp))
 
     def ccdf(self, s):
-        arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        sv = np.atleast_1d(arr)
-        out = np.ones_like(sv)
-        pos = sv > 0.0
-        out[pos] = gammainc(self.mu_exp, self.scale / sv[pos])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        return _on_support(s, _positive,
+                           lambda sp: gammainc(self.mu_exp, self.scale / sp), 1.0)
 
     def mean(self) -> float:
         return self.S_F
@@ -389,8 +362,7 @@ def macro_ode_step(state: MacroState, params: ModelParams, dt: float, phi,
     def deriv(S: float, Y: float) -> tuple[float, float]:
         if S <= 0.0:
             raise PriceCollapse(f"price reached S={S} during integration")
-        S_dot = params.beta * (rho_C * params.t_C * Y * S
-                               + rho_F * params.gamma_f * (params.S_F - S))
+        S_dot = params.beta * float(price_drift(params, S, Y, rho_C, rho_F))
         trend = S_dot / S
         if h_moments is None:
             Y_dot = params.alpha2 * rho_C * (float(phi(trend)) - Y)

@@ -30,6 +30,7 @@ __all__ = [
     "diffusion",
     "chartist_profit",
     "fundamentalist_profit",
+    "price_drift",
     "switch_rate",
     "opinion_noise_halfwidth",
     "price_noise_halfwidth",
@@ -194,11 +195,35 @@ def fundamentalist_profit(params: ModelParams, S: float) -> float:
     return params.k_discount * abs(params.S_F - S) / S
 
 
-def switch_rate(params: ModelParams, x):
-    """Strategy-switch rate exp(sigma * x); monotone increasing, positive."""
-    with np.errstate(over="ignore"):
-        out = np.exp(params.sigma_switch * np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
+def price_drift(params: ModelParams, s, Y: float, rho_C: float, rho_F: float,
+                out=None, tmp=None):
+    """Mean-price drift per unit beta, rho_C t_C Y s + rho_F gamma_f (S_F - s).
+
+    Scalars or arrays; ``out`` and ``tmp``, arrays shaped like ``s``, receive
+    the result and serve as scratch when given.
+    """
+    drift = np.multiply(s, rho_C * params.t_C * Y, out=out)
+    reversion = np.subtract(params.S_F, s, out=tmp)
+    reversion *= rho_F * params.gamma_f
+    drift += reversion
+    return drift
+
+
+# exp(60) ~ 1e26: any switch rate beyond this saturates min(1, .) for every
+# admissible population fraction, so capping the exponent only avoids overflow
+_MAX_SWITCH_EXPONENT = 60.0
+
+
+def switch_rate(params: ModelParams, x, out=None):
+    """Strategy-switch rate exp(sigma * x), the exponent capped at 60.
+
+    Monotone nondecreasing and positive; ``out``, an array shaped like ``x``
+    (it may be ``x``), receives the result when given.
+    """
+    expo = np.multiply(params.sigma_switch, x, out=out)
+    expo = np.minimum(expo, _MAX_SWITCH_EXPONENT, out=out)
+    rate = np.exp(expo, out=out)
+    return float(rate) if np.ndim(x) == 0 else rate
 
 
 def opinion_noise_halfwidth(params: ModelParams) -> float:
@@ -250,8 +275,11 @@ def validate_opinion_noise(params: ModelParams) -> None:
 
 
 def validate_price_noise(params: ModelParams, rho_C: float, rho_F: float,
-                         dt: float = 1.0) -> None:
-    """Reject price-noise variances whose uniform support allows s' < 0."""
+                         dt: float = 1.0) -> float:
+    """Reject price-noise variances whose uniform support allows s' < 0.
+
+    Returns the half-width sqrt(3 zeta2 dt) of the admitted noise support.
+    """
     halfwidth = math.sqrt(3.0 * params.zeta2_price * dt)
     d = price_noise_halfwidth(params, rho_C, rho_F, dt)
     if halfwidth > d:
@@ -260,3 +288,4 @@ def validate_price_noise(params: ModelParams, rho_C: float, rho_F: float,
             f"rho_C={rho_C}, rho_F={rho_F}, dt={dt}; maximum admissible "
             f"variance is {max_price_noise_variance(params, rho_C, rho_F, dt)}"
         )
+    return halfwidth

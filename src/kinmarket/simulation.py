@@ -39,6 +39,8 @@ from .model import (
     diffusion,
     fundamentalist_profit,
     herding,
+    price_drift,
+    switch_rate,
     validate_opinion_noise,
     validate_price_noise,
     value_function,
@@ -47,7 +49,6 @@ from .model import (
 __all__ = [
     "AgentEnsemble",
     "PriceEnsemble",
-    "MarketState",
     "SimConfig",
     "Trajectory",
     "binary_interact",
@@ -57,11 +58,8 @@ __all__ = [
     "run",
 ]
 
-# exp(60) ~ 1e26: any switch rate beyond this saturates min(1, .) for every
-# admissible population fraction, so capping the exponent only avoids overflow
-_MAX_SWITCH_EXPONENT = 60.0
-
-ChartistInit = Union[str, Callable[[np.random.Generator, int], np.ndarray]]
+InitLaw = Callable[[np.random.Generator, int], np.ndarray]
+ChartistInit = Union[str, InitLaw]
 
 
 @dataclass
@@ -110,7 +108,12 @@ class AgentEnsemble:
         y = np.zeros(N)
         is_chartist = np.zeros(N, dtype=bool)
         is_chartist[:n_c] = True
-        y[:n_c] = _initial_propensities(n_c, init, rng)
+        y0 = np.asarray(_init_law(init)(rng, n_c), dtype=float)
+        if y0.shape != (n_c,):
+            raise ConfigurationError("chartist_init must return one value per agent")
+        if np.any(np.abs(y0) > 1.0):
+            raise ConfigurationError("initial propensities must lie in [-1, 1]")
+        y[:n_c] = y0
         return cls(y=y, is_chartist=is_chartist)
 
 
@@ -119,30 +122,33 @@ def _is_prefix(idx: np.ndarray) -> bool:
     return idx.size == 0 or idx[-1] == idx.size - 1
 
 
-def _initial_propensities(n: int, init: ChartistInit,
-                          rng: np.random.Generator) -> np.ndarray:
+def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    # exactly mirrored pairs: the initial mean is zero in exact arithmetic
+    half = n // 2
+    u = rng.random(half)
+    parts = [u, -u] + ([np.zeros(1)] if n % 2 else [])
+    return np.concatenate(parts) if n else np.zeros(0)
+
+
+# the named chartist_init laws; "constant:<v>" and callables are accepted too
+_NAMED_INITS = {
+    "symmetric_uniform": _symmetric_uniform,
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "zero": lambda rng, n: np.zeros(n),
+}
+
+
+def _init_law(init: ChartistInit) -> InitLaw:
+    """The (rng, n) -> propensities callable that ``init`` names."""
     if callable(init):
-        y = np.asarray(init(rng, n), dtype=float)
-        if y.shape != (n,):
-            raise ConfigurationError("chartist_init callable must return one value per agent")
-        if np.any(np.abs(y) > 1.0):
-            raise ConfigurationError("initial propensities must lie in [-1, 1]")
-        return y
-    if init == "symmetric_uniform":
-        # exactly mirrored pairs: the initial mean is zero in exact arithmetic
-        half = n // 2
-        u = rng.random(half)
-        parts = [u, -u] + ([np.zeros(1)] if n % 2 else [])
-        return np.concatenate(parts) if n else np.zeros(0)
-    if init == "uniform":
-        return rng.uniform(-1.0, 1.0, n)
-    if init == "zero":
-        return np.zeros(n)
+        return init
+    if isinstance(init, str) and init in _NAMED_INITS:
+        return _NAMED_INITS[init]
     if isinstance(init, str) and init.startswith("constant:"):
         v = float(init.split(":", 1)[1])
         if abs(v) > 1.0:
             raise ConfigurationError("constant initial propensity must lie in [-1, 1]")
-        return np.full(n, v)
+        return lambda rng, n: np.full(n, v)
     raise ConfigurationError(f"unknown chartist_init {init!r}")
 
 
@@ -159,15 +165,6 @@ class PriceEnsemble:
     def initialize(cls, N_s: int, S0: float) -> "PriceEnsemble":
         S0 = float(S0)
         return cls(samples=np.full(N_s, S0), S_curr=S0, s_min=S0, trend=0.0)
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """Market quantities frozen at the top of an iteration."""
-
-    S: float
-    trend: float
-    phi: float
 
 
 @dataclass
@@ -203,13 +200,7 @@ class SimConfig:
             raise ConfigurationError("rho_C0 must lie in [0, 1]")
         if self.S0 <= 0.0:
             raise ConfigurationError("initial price S0 must be positive")
-        if isinstance(self.chartist_init, str):
-            known = ("symmetric_uniform", "uniform", "zero")
-            if self.chartist_init not in known \
-                    and not self.chartist_init.startswith("constant:"):
-                raise ConfigurationError(
-                    f"unknown chartist_init {self.chartist_init!r}"
-                )
+        _init_law(self.chartist_init)
 
 
 @dataclass
@@ -311,7 +302,7 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
     return y_new, ys_new, rejected
 
 
-def step_chartists(ensemble: AgentEnsemble, market: MarketState,
+def step_chartists(ensemble: AgentEnsemble, phi: float,
                    params: ModelParams, dt: float, rng,
                    idx: np.ndarray | None = None,
                    work: _Workspace | None = None) -> int:
@@ -319,7 +310,8 @@ def step_chartists(ensemble: AgentEnsemble, market: MarketState,
 
     Partitions the chartists into floor(N_C/2) disjoint uniformly random
     pairs; each pair interacts with probability rho_C * dt (a leftover odd
-    agent is untouched).  ``idx`` is ``np.flatnonzero(ensemble.is_chartist)``
+    agent is untouched); phi is the market-trend target of the
+    interaction.  ``idx`` is ``np.flatnonzero(ensemble.is_chartist)``
     when the caller holds it.  Returns the number of rejected interactions.
     """
     if idx is None:
@@ -356,7 +348,7 @@ def step_chartists(ensemble: AgentEnsemble, market: MarketState,
     y1 = np.take(ensemble.y, first, out=work("pair_y", k), mode="clip")
     y2 = np.take(ensemble.y, second, out=work("pair_y_star", k), mode="clip")
     y1, y2, rejected = binary_interact(
-        y1, y2, market.phi, noise[:k], noise[k:], params,
+        y1, y2, phi, noise[:k], noise[k:], params,
         out=(work("new_y", k), work("new_y_star", k), work("tmp", k)),
     )
     ensemble.y[first] = y1
@@ -373,16 +365,13 @@ def step_price(prices: PriceEnsemble, Y: float, rho_C: float, rho_F: float,
     is validated against the nonnegativity bound for the current population
     split before any sample is touched.
     """
-    validate_price_noise(params, rho_C, rho_F, dt)
-    c = math.sqrt(3.0 * params.zeta2_price * dt)
+    c = validate_price_noise(params, rho_C, rho_F, dt)
     s = prices.samples
     eta = rng.uniform(-c, c, s.size)
     work = _Workspace() if work is None else work
-    # s + dt beta (rho_C t_C Y s + rho_F gamma_f (S_F - s)) + eta s
-    new = np.multiply(s, rho_C * params.t_C * Y, out=work("prices", s.size))
-    reversion = np.subtract(params.S_F, s, out=work("tmp", s.size))
-    reversion *= rho_F * params.gamma_f
-    new += reversion
+    # s + dt beta drift + eta s
+    new = price_drift(params, s, Y, rho_C, rho_F, out=work("prices", s.size),
+                      tmp=work("tmp", s.size))
     new *= dt * params.beta
     new += s
     eta *= s
@@ -404,19 +393,17 @@ def step_price(prices: PriceEnsemble, Y: float, rho_C: float, rho_F: float,
 
 def _switch_probabilities(params: ModelParams, dt: float, rho_other: float,
                           payoff_gain, out=None) -> np.ndarray:
-    """min(1, dt * mu * rho_other * exp(sigma * payoff_gain)), overflow-safe.
+    """min(1, dt * mu * rho_other * switch_rate(payoff_gain)).
 
     ``out``, an array shaped like the result (it may be ``payoff_gain``),
     receives it when given.
     """
-    expo = np.multiply(params.sigma_switch, payoff_gain, out=out)
-    expo = np.minimum(expo, _MAX_SWITCH_EXPONENT, out=out)
-    rate = np.multiply(dt * params.mu_freq * rho_other, np.exp(expo, out=out),
-                       out=out)
+    rate = np.multiply(dt * params.mu_freq * rho_other,
+                       switch_rate(params, payoff_gain, out=out), out=out)
     return np.minimum(1.0, rate, out=out)
 
 
-def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
+def step_strategy_exchange(ensemble: AgentEnsemble, S: float, trend: float,
                            params: ModelParams, dt: float,
                            rng: np.random.Generator,
                            idx: np.ndarray | None = None,
@@ -429,24 +416,25 @@ def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
     draw from the current chartist propensity pool (the profit of the chartist
     strategy is sign-valued in y, so the mean propensity is not a sufficient
     statistic).  A switching fundamentalist adopts the ybar it evaluated.
+    S and trend are the mean price and its relative trend.
     ``idx`` is ``np.flatnonzero(ensemble.is_chartist)`` when the caller holds
     it.  Returns (chartist->fundamentalist, fundamentalist->chartist) counts.
     """
-    if market.S <= 0.0:
-        raise ValueError(f"price must be positive for strategy exchange, got {market.S}")
+    if S <= 0.0:
+        raise ValueError(f"price must be positive for strategy exchange, got {S}")
     work = _Workspace() if work is None else work
     c_idx = np.flatnonzero(ensemble.is_chartist) if idx is None else idx
     f_idx = np.flatnonzero(~ensemble.is_chartist)
     n_c, n_f = c_idx.size, f_idx.size
     rho_C = n_c / ensemble.N
     rho_F = 1.0 - rho_C
-    x_f = fundamentalist_profit(params, market.S)
-    s_dot = market.trend * market.S
+    x_f = fundamentalist_profit(params, S)
+    s_dot = trend * S
     yc = ensemble.chartist_y(c_idx, out=work("chartist_y", n_c))
 
     to_fund = np.zeros(0, dtype=np.intp)
     if n_c and rho_F > 0.0:
-        gain = chartist_profit(params, yc, market.S, s_dot,
+        gain = chartist_profit(params, yc, S, s_dot,
                                out=work("tmp", n_c))
         p_cf = _switch_probabilities(params, dt, rho_F,
                                      np.subtract(x_f, gain, out=gain), out=gain)
@@ -457,7 +445,7 @@ def step_strategy_exchange(ensemble: AgentEnsemble, market: MarketState,
     adopted = np.zeros(0)
     if n_f and n_c:
         ybar = rng.choice(yc, size=n_f, replace=True)
-        gain = chartist_profit(params, ybar, market.S, s_dot,
+        gain = chartist_profit(params, ybar, S, s_dot,
                                out=work("tmp", n_f))
         p_fc = _switch_probabilities(params, dt, rho_C,
                                      np.subtract(gain, x_f, out=gain), out=gain)
@@ -530,14 +518,14 @@ def run(config: SimConfig) -> Trajectory:
     for i in range(1, n_rec):
         # the market state frozen for this iteration is the last record's
         phi = value_function(config.value_spec, prices.trend)
-        market = MarketState(S=prices.S_curr, trend=prices.trend, phi=phi)
-        n_rejected += step_chartists(ensemble, market, params, config.dt,
+        n_rejected += step_chartists(ensemble, phi, params, config.dt,
                                      rng, idx, work)
         if config.pin_mean:
             _recenter(ensemble, idx, work)
         if config.enable_switching:
-            cf, fc = step_strategy_exchange(ensemble, market, params,
-                                            config.dt, rng, idx, work)
+            cf, fc = step_strategy_exchange(ensemble, prices.S_curr,
+                                            prices.trend, params, config.dt,
+                                            rng, idx, work)
             n_cf += cf
             n_fc += fc
             if cf or fc:

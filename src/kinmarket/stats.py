@@ -1,4 +1,4 @@
-"""Empirical diagnostics: histograms, moments, tail indices, fit distances.
+"""Empirical diagnostics: histograms, tail indices, fit distances.
 
 Connects Monte Carlo sample sets to the closed-form oracles: normalized
 histograms with mass checks, the Hill order-statistics estimator of the CCDF
@@ -22,7 +22,6 @@ __all__ = [
     "HillScan",
     "l1_density_distance",
     "lognormal_fit",
-    "moments",
     "ks_statistic",
 ]
 
@@ -104,12 +103,8 @@ class HillScan:
 
     k_values: np.ndarray
     estimates: np.ndarray
-    rel_spread: float
     plateau_found: bool
     estimate: float
-
-    def __iter__(self):
-        return iter((self.k_values, self.estimates))
 
 
 def hill_plateau(samples, k_min_frac: float = 0.01, k_max_frac: float = 0.10,
@@ -132,7 +127,6 @@ def hill_plateau(samples, k_min_frac: float = 0.01, k_max_frac: float = 0.10,
     return HillScan(
         k_values=ks,
         estimates=estimates,
-        rel_spread=spread,
         plateau_found=found,
         estimate=float(estimates.mean()) if found else float("nan"),
     )
@@ -161,14 +155,6 @@ def lognormal_fit(samples) -> tuple[float, float]:
         raise ValueError("lognormal fit requires strictly positive samples")
     logs = np.log(x)
     return float(logs.mean()), float(logs.var())
-
-
-def moments(samples, p: int) -> float:
-    """Arithmetic p-th moment, p in {1, 2, 3}."""
-    if p not in (1, 2, 3):
-        raise ValueError(f"moment order p={p} not supported (use 1, 2 or 3)")
-    x = np.asarray(samples, dtype=float)
-    return float(np.mean(x ** p))
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -11,6 +11,8 @@ and shared across criteria.
 
 import concurrent.futures
 import math
+import multiprocessing
+import os
 from collections import Counter
 from types import SimpleNamespace
 
@@ -54,18 +56,24 @@ def test2_traj():
     return run(preset("test2", {"seed": SEED}).sim)
 
 
+def _run_preset(job):
+    # module level, so that worker processes can unpickle it
+    name, seed = job
+    return name, run(preset(name, {"seed": seed}).sim)
+
+
 @pytest.fixture(scope="session")
 def test3_trajs():
+    # one process per core: each run is seeded from its own config, so the
+    # trajectories are those of serial runs; spawned workers, because a
+    # forked copy of a process with threads may deadlock
     jobs = [(name, seed) for name in ("test3a", "test3b", "test3c")
             for seed in REGIME_SEEDS]
-
-    def one(job):
-        name, seed = job
-        return name, seed, run(preset(name, {"seed": seed}).sim)
-
     out = {"test3a": [], "test3b": [], "test3c": []}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as ex:
-        for name, seed, traj in ex.map(one, jobs):
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=os.cpu_count(),
+            mp_context=multiprocessing.get_context("spawn")) as ex:
+        for name, traj in ex.map(_run_preset, jobs):
             out[name].append(traj)
     return out
 

@@ -233,6 +233,17 @@ class TestMainCommand:
         for name in ("trajectory.csv", "y_samples.txt", "s_samples.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys):
+        # a misspelt alpha1 must not run silently with the preset's value
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("alpah1=0.3\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--config", str(cfg),
+                     "--out", str(out)] + SMALL) == 1
+        err = capsys.readouterr().err
+        assert "ERROR:config:" in err and "alpah1" in err
+        assert not out.exists()
+
     def test_run_without_seed_uses_seed_zero(self, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--preset", "test1", "--out", str(out)] + SMALL) == 0
@@ -246,6 +257,26 @@ class TestMainCommand:
         (out / "summary.txt").unlink()
         assert main(["analyze", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_text() == original
+
+    def test_analyze_rejects_an_edited_population_share(self, tmp_path, capsys):
+        # rho_C = 0.500013 is no whole number of agents out of N = 400; with
+        # rho_F edited to match, rho_C + rho_F stays exactly 1
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "5",
+                     "--out", str(out)] + SMALL) == 0
+        capsys.readouterr()
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        assert row[4] == "0.5"
+        row[4], row[5] = "0.500013", "0.499987"
+        assert float(row[4]) + float(row[5]) == 1.0
+        lines[3] = ",".join(row)
+        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "n_agents_constant=false" in captured.out
+        assert "rho_sum_exact=true" in captured.out
+        assert "ERROR:numerical:" in captured.err
 
     def test_analyze_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "missing")]) == 1

@@ -12,14 +12,12 @@ from kinmarket.fokker_planck import (
     MacroState,
     ParetoSteadyState,
     PriceCollapse,
-    chartist_equilibrium_density,
     chartist_stationary_residual,
     classify_equilibrium,
     lognormal_price_cdf,
     lognormal_price_density,
     macro_ode_step,
     pareto_steady_state,
-    second_moment_evolution,
     solve_macro_ode,
     solve_Y_fixed_point,
 )
@@ -94,11 +92,6 @@ class TestChartistEquilibrium:
                                            1.0, 2.0)
         assert np.abs(res).max() > 1e-3
 
-    def test_wrapper_matches_class(self):
-        eq = ChartistEquilibrium(0.1, 0.8)
-        assert chartist_equilibrium_density(0.3, 0.1, 0.8) == pytest.approx(
-            eq(0.3), rel=1e-12)
-
     def test_sampler_matches_density(self):
         eq = ChartistEquilibrium(0.0, 1.0)
         rng = np.random.default_rng(11)
@@ -146,21 +139,6 @@ class TestLognormalPrice:
             num, _ = quad(lambda u: lognormal_price_density(u, S, E), 0.0, s,
                           limit=300)
             assert lognormal_price_cdf(s, S, E) == pytest.approx(num, abs=1e-8)
-
-
-class TestSecondMoment:
-    def test_pure_noise_growth(self):
-        # with Y=0 the second moment grows like exp(nu * tau)
-        assert second_moment_evolution(2.0, 0.0, 1.0, 0.1, 0.05, 3.0) == \
-            pytest.approx(2.0 * math.exp(0.15), rel=1e-14)
-
-    def test_constant_without_noise(self):
-        assert second_moment_evolution(2.0, 0.0, 1.0, 0.1, 0.0, 100.0) == 2.0
-
-    def test_hand_value(self):
-        # 2*0.1*0.5*1 + 0.01 = 0.11, tau=10 -> e^1.1
-        assert second_moment_evolution(1.0, 0.5, 1.0, 0.1, 0.01, 10.0) == \
-            pytest.approx(3.0041660239464334, rel=1e-14)
 
 
 class TestParetoSteadyState:

@@ -21,7 +21,6 @@ from kinmarket.model import (
 )
 from kinmarket.simulation import (
     AgentEnsemble,
-    MarketState,
     PriceEnsemble,
     SimConfig,
     Trajectory,
@@ -109,8 +108,7 @@ class TestStepChartists:
     def test_empty_population_unchanged(self):
         p = ModelParams()
         ens = AgentEnsemble(y=np.zeros(100), is_chartist=np.zeros(100, bool))
-        rej = step_chartists(ens, MarketState(10.0, 0.0, 0.0), p, 1.0,
-                             np.random.default_rng(0))
+        rej = step_chartists(ens, 0.0, p, 1.0, np.random.default_rng(0))
         assert rej == 0
         assert np.all(ens.y == 0.0)
 
@@ -119,15 +117,14 @@ class TestStepChartists:
         rng = np.random.default_rng(1)
         y0 = rng.uniform(-1, 1, 500)
         ens = AgentEnsemble(y=y0.copy(), is_chartist=np.ones(500, bool))
-        step_chartists(ens, MarketState(10.0, 0.0, 0.0), p, 1.0, rng)
+        step_chartists(ens, 0.0, p, 1.0, rng)
         assert np.array_equal(ens.y, y0)
 
     def test_probability_overflow_rejected(self):
         p = ModelParams()
         ens = AgentEnsemble(y=np.zeros(100), is_chartist=np.ones(100, bool))
         with pytest.raises(ConfigurationError):
-            step_chartists(ens, MarketState(10.0, 0.0, 0.0), p, 1.5,
-                           np.random.default_rng(0))
+            step_chartists(ens, 0.0, p, 1.5, np.random.default_rng(0))
 
     def test_mirrored_pairs_keep_mean_near_zero(self):
         # one step from symmetric data: each repetition stays within the
@@ -139,7 +136,7 @@ class TestStepChartists:
             u = rng.random(5000)
             y = np.concatenate([u, -u])
             ens = AgentEnsemble(y=y, is_chartist=np.ones(10000, bool))
-            step_chartists(ens, MarketState(10.0, 0.0, 0.0), p, 1.0, rng)
+            step_chartists(ens, 0.0, p, 1.0, rng)
             assert abs(ens.y.mean()) < 5e-3
 
     def test_rejections_zero_under_admissible_noise(self):
@@ -149,7 +146,7 @@ class TestStepChartists:
                             is_chartist=np.ones(20000, bool))
         total = 0
         for _ in range(20):
-            total += step_chartists(ens, MarketState(10.0, 0.0, 0.5), p, 1.0, rng)
+            total += step_chartists(ens, 0.5, p, 1.0, rng)
         assert total == 0
         assert np.abs(ens.y).max() <= 1.0
 
@@ -225,9 +222,8 @@ class TestStrategyExchange:
         n = 50000
         ens = AgentEnsemble(y=rng.uniform(-1, 1, n),
                             is_chartist=np.arange(n) < n // 2)
-        market = MarketState(S=20.0, trend=0.0, phi=0.0)
         before = ens.n_chartists
-        cf, fc = step_strategy_exchange(ens, market, p, 1.0, rng)
+        cf, fc = step_strategy_exchange(ens, 20.0, 0.0, p, 1.0, rng)
         assert cf > 0 and fc > 0
         assert abs((ens.n_chartists - before) / n) < 0.006
 
@@ -236,8 +232,7 @@ class TestStrategyExchange:
         rng = np.random.default_rng(6)
         ens = AgentEnsemble(y=rng.uniform(-1, 1, 1000),
                             is_chartist=np.ones(1000, bool))
-        cf, fc = step_strategy_exchange(ens, MarketState(15.0, -0.01, -0.3),
-                                        p, 1.0, rng)
+        cf, fc = step_strategy_exchange(ens, 15.0, -0.01, p, 1.0, rng)
         assert cf == 0 and fc == 0
 
     def test_agent_count_conserved(self):
@@ -247,7 +242,7 @@ class TestStrategyExchange:
         ens = AgentEnsemble(y=rng.uniform(-1, 1, n),
                             is_chartist=np.arange(n) < n // 2)
         for trend in (0.02, -0.05, 0.0):
-            step_strategy_exchange(ens, MarketState(18.0, trend, 0.1), p, 1.0, rng)
+            step_strategy_exchange(ens, 18.0, trend, p, 1.0, rng)
             assert ens.N == n
             assert ens.n_chartists + (~ens.is_chartist).sum() == n
 
@@ -258,7 +253,7 @@ class TestStrategyExchange:
         y = np.full(n, 0.7)
         ens = AgentEnsemble(y=y, is_chartist=np.arange(n) < n // 2)
         ens.y[~ens.is_chartist] = 0.0
-        step_strategy_exchange(ens, MarketState(19.0, 0.05, 0.5), p, 1.0, rng)
+        step_strategy_exchange(ens, 19.0, 0.05, p, 1.0, rng)
         # every fundamentalist that became a chartist sampled from {0.7}
         new_chartists = ens.is_chartist & (np.arange(n) >= n // 2)
         assert new_chartists.sum() > 0
@@ -268,7 +263,7 @@ class TestStrategyExchange:
         p = self.params()
         ens = AgentEnsemble(y=np.zeros(10), is_chartist=np.ones(10, bool))
         with pytest.raises(ValueError):
-            step_strategy_exchange(ens, MarketState(0.0, 0.0, 0.0), p, 1.0,
+            step_strategy_exchange(ens, 0.0, 0.0, p, 1.0,
                                    np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["test3a", "test3b", "test3c"])

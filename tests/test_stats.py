@@ -10,7 +10,6 @@ from kinmarket.stats import (
     ks_statistic,
     l1_density_distance,
     lognormal_fit,
-    moments,
 )
 
 
@@ -153,14 +152,6 @@ class TestLognormalFit:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             lognormal_fit([1.0, 0.0, 2.0])
-
-    def test_moments(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert moments(x, 1) == pytest.approx(x.mean(), rel=1e-15)
-        assert moments(x, 2) == pytest.approx(np.mean(x ** 2), rel=1e-15)
-        assert moments(x, 3) == pytest.approx(np.mean(x ** 3), rel=1e-15)
-        with pytest.raises(ValueError):
-            moments(x, 4)
 
 
 class TestKsStatistic:
