@@ -25,9 +25,9 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfinv
 
 from . import fokker_planck as fp
 from . import stats
@@ -246,10 +246,29 @@ def _write_overlay(path: Path, x: np.ndarray, density: np.ndarray) -> None:
             fh.write(f"{a:.17g},{b:.17g}\n")
 
 
+def _lognormal_overlay_grid(m: float, v: float) -> np.ndarray:
+    """801 quantiles, from 1e-4 to 1 - 1e-4, of the lognormal law (m, v)."""
+    inv_cdf = NormalDist().inv_cdf
+    z = np.array([inv_cdf(q) for q in np.linspace(1e-4, 1.0 - 1e-4, 801)])
+    return np.exp(m + np.sqrt(v) * z)
+
+
+# run totals kept only in summary.txt: summary key -> Trajectory attribute
+_COUNTERS = {"interaction_rejections": "n_rejected",
+             "switches_to_fundamentalist": "n_switches_cf",
+             "switches_to_chartist": "n_switches_fc"}
+
+
 def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
-                     out: Path) -> dict:
-    """Histograms, overlays and the summary table for a finished run."""
+                     out: Path, counters: dict | None = None) -> dict:
+    """Histograms, overlays and the summary table for a finished run.
+
+    ``counters`` replaces the run totals of ``traj`` in the summary; a key
+    missing from it is left out.
+    """
     p = config.sim.params
+    if counters is None:
+        counters = {k: getattr(traj, a) for k, a in _COUNTERS.items()}
     summary: dict = {
         "preset": config.preset,
         "seed": config.sim.seed,
@@ -262,9 +281,7 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
         "terminal_rho_C": float(traj.rho_C[-1]),
         "terminal_rho_F": float(traj.rho_F[-1]),
         "terminal_E": float(traj.E[-1]),
-        "interaction_rejections": traj.n_rejected,
-        "switches_to_fundamentalist": traj.n_switches_cf,
-        "switches_to_chartist": traj.n_switches_fc,
+        **counters,
         "min_price_terminal": float(traj.s_final.min()) if traj.s_final.size else 0.0,
         "max_abs_y_terminal": float(np.abs(traj.y_final).max()) if traj.y_final.size else 0.0,
         "rho_sum_exact": bool(np.all(traj.rho_C + traj.rho_F == 1.0)),
@@ -300,9 +317,7 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
         E_T = float(traj.E[-1])
         S_ref = config.sim.S0
         if E_T > S_ref * S_ref:
-            qs = np.linspace(1e-4, 1.0 - 1e-4, 801)
-            m, v = fp.lognormal_log_params(S_ref, E_T)
-            grid = np.exp(m + np.sqrt(2.0 * v) * erfinv(2.0 * qs - 1.0))
+            grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S_ref, E_T))
             _write_overlay(out / "lognormal_fp.csv", grid,
                            fp.lognormal_price_density(grid, S_ref, E_T))
             summary["lognormal_S_ref"] = S_ref
@@ -480,7 +495,12 @@ def _cmd_analyze(args) -> int:
         min_price=np.full(n, float(s.min()) if s.size else 0.0),
         N=config.sim.N, dt=config.sim.dt, y_final=y, s_final=s,
     )
-    summary = _analyze_outputs(config, traj, out)
+    # the run's totals are on disk only in the summary this call rewrites
+    path = out / "summary.txt"
+    ran = (dict(ln.split("=", 1) for ln in path.read_text().splitlines() if "=" in ln)
+           if path.exists() else {})
+    counters = {k: int(ran[k]) for k in _COUNTERS if k in ran}
+    summary = _analyze_outputs(config, traj, out, counters)
     for k, v in summary.items():
         print(f"{k}={_fmt(v)}")
     broken = [k for k in ("rho_sum_exact", "n_agents_constant") if not summary[k]]

@@ -14,8 +14,12 @@ long-time solutions:
 together with the deterministic mean-value ODE system, an equilibrium
 classifier and the fixed-point solver for the locked mean propensity.
 
-Densities are normalized once, by adaptive quadrature under the substitution
-y = tanh(u) which resolves the essential decay at the opinion boundaries.
+The opinion density is normalized once, by a trapezoid sum in u = atanh(y)
+taken in log space.  In u the integrand decays double-exponentially, so the
+sum converges geometrically in the node count, and the log form keeps the
+mass finite where it underflows a double (kappa below ~1.3e-3).  Everything
+here needs numpy and the standard library only; the Pareto CDF and CCDF
+import scipy when they are called.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from .model import (
     ConfigurationError,
@@ -51,7 +53,11 @@ __all__ = [
     "solve_Y_fixed_point",
 ]
 
-_QUAD_ABS_TOL = 1e-10
+# the normalization sums over u in [-_U_MAX, _U_MAX], on 2 * _HALF_NODES
+# intervals and on every other node; beyond |u| ~ 19 tanh(u) rounds to +-1
+_U_MAX = 19.0
+_HALF_NODES = 8000
+_LOG_MASS_TOL = 1e-10
 
 
 def _on_support(x, inside, f, fill: float = 0.0):
@@ -139,35 +145,37 @@ class ChartistEquilibrium:
         self._p = -2.0 + Y_star / (2.0 * kappa)
         self._q = -2.0 - Y_star / (2.0 * kappa)
 
-        def transformed(u: float) -> float:
-            # tanh(u) saturates to 1.0 in double precision beyond |u| ~ 19,
-            # where the density is identically zero anyway
-            if abs(u) > 19.0:
-                return 0.0
-            y = math.tanh(u)
-            sech2 = 1.0 / math.cosh(u) ** 2
-            return math.exp(self._log_unnormalized_scalar(y)) * sech2
-
-        mass, err = integrate.quad(
-            transformed, -np.inf, np.inf,
-            epsabs=_QUAD_ABS_TOL, epsrel=1e-10, limit=200,
-        )
-        if not math.isfinite(mass) or mass <= 0.0 or err > 1e-7 * max(mass, 1.0):
+        u = np.linspace(-_U_MAX, _U_MAX, 2 * _HALF_NODES + 1)
+        g = self._log_integrand(u)
+        top = float(g.max())
+        e = np.exp(g - top)
+        e[[0, -1]] *= 0.5  # trapezoid end weights, on both node sets
+        h = 2.0 * _U_MAX / (u.size - 1)  # u[1] - u[0] is off by ~1e-12 relative
+        fine = math.log(h * float(e.sum()))
+        coarse = math.log(2.0 * h * float(e[::2].sum()))
+        if not (abs(fine - coarse) <= _LOG_MASS_TOL
+                and max(e[0], e[-1]) <= 1e-16 * e.sum()):
             raise NumericsError(
-                f"equilibrium normalization quadrature did not converge: "
-                f"mass={mass}, achieved tolerance={err}"
+                f"equilibrium normalization did not converge at kappa={kappa}, "
+                f"Y*={Y_star}: log-mass {fine + top} on {u.size} nodes, "
+                f"{coarse + top} on {u.size // 2 + 1}"
             )
-        self._log_c0 = math.log(rho_C) - math.log(mass)
+        self._log_c0 = math.log(rho_C) - (fine + top)
 
-    def _log_unnormalized_scalar(self, y: float) -> float:
-        one_m_y2 = (1.0 - y) * (1.0 + y)
-        if one_m_y2 <= 0.0:
-            return -math.inf
-        return (
-            self._p * math.log1p(y)
-            + self._q * math.log1p(-y)
-            - (1.0 - self.Y_star * y) / (self.kappa * one_m_y2)
-        )
+    def _log_integrand(self, u: np.ndarray) -> np.ndarray:
+        """log of f(tanh u) sech^2(u), unnormalized, finite for all u.
+
+        With 1 +- tanh(u) = e^(+-u) / cosh(u) and 1 - tanh(u)^2 = sech^2(u),
+        log f + log sech^2 = (p - q) u - (p + q + 2) log cosh(u)
+        - (1 - Y* tanh u) cosh^2(u) / kappa, where p - q = Y*/kappa,
+        p + q = -4 and 2 (1 - Y* tanh u) cosh^2(u)
+        = 1 + (1 - Y*) e^(2u) / 2 + (1 + Y*) e^(-2u) / 2.
+        """
+        a = np.abs(u)
+        log_cosh = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        w = 1.0 + 0.5 * ((1.0 - self.Y_star) * np.exp(2.0 * u)
+                         + (1.0 + self.Y_star) * np.exp(-2.0 * u))
+        return self.Y_star / self.kappa * u + 2.0 * log_cosh - w / (2.0 * self.kappa)
 
     def __call__(self, y):
         """Density value(s) at y; zero outside (-1, 1)."""
@@ -249,10 +257,16 @@ def lognormal_price_density(s, S_tau: float, E_tau: float):
     return _on_support(s, _positive, density)
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc of each entry of a 1-d array (numpy has no erfc)."""
+    return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+
+
 def lognormal_price_cdf(s, S_tau: float, E_tau: float):
     """CDF of the self-similar lognormal price law."""
     m, v = lognormal_log_params(S_tau, E_tau)
-    return _on_support(s, _positive, lambda sp: ndtr((np.log(sp) - m) / math.sqrt(v)))
+    return _on_support(s, _positive, lambda sp: 0.5 * _erfc(
+        -(np.log(sp) - m) / math.sqrt(2.0 * v)))
 
 
 def lognormal_log_params(S_tau: float, E_tau: float) -> tuple[float, float]:
@@ -290,7 +304,7 @@ class ParetoSteadyState:
             )
         if self.S_F <= 0.0:
             raise ValueError("fundamental price S_F must be positive")
-        log_c1 = self.mu_exp * math.log((self.mu_exp - 1.0) * self.S_F) - gammaln(self.mu_exp)
+        log_c1 = self.mu_exp * math.log((self.mu_exp - 1.0) * self.S_F) - math.lgamma(self.mu_exp)
         object.__setattr__(self, "_log_c1", log_c1)
         object.__setattr__(self, "C1", math.exp(log_c1))
 
@@ -303,10 +317,12 @@ class ParetoSteadyState:
             self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
 
     def cdf(self, s):
+        from scipy.special import gammaincc
         return _on_support(s, _positive,
                            lambda sp: gammaincc(self.mu_exp, self.scale / sp))
 
     def ccdf(self, s):
+        from scipy.special import gammainc
         return _on_support(s, _positive,
                            lambda sp: gammainc(self.mu_exp, self.scale / sp), 1.0)
 

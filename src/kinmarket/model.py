@@ -257,14 +257,16 @@ def max_price_noise_variance(params: ModelParams, rho_C: float, rho_F: float,
     return d * d / (3.0 * dt)
 
 
-def validate_opinion_noise(params: ModelParams) -> None:
+def validate_opinion_noise(params: ModelParams) -> float:
     """Reject opinion-noise variances whose uniform support exceeds the bound.
 
     Only enforced for gamma_diff = 1, where the analytic support bound applies;
-    other diffusion exponents fall back to interaction rejection.
+    other diffusion exponents fall back to interaction rejection.  Returns the
+    half-width sqrt(3 sigma2) of the noise support.
     """
+    halfwidth = math.sqrt(3.0 * params.sigma2_opinion)
     if params.gamma_diff != 1.0:
-        return
+        return halfwidth
     vmax = max_opinion_noise_variance(params)
     if params.sigma2_opinion > vmax:
         raise ConfigurationError(
@@ -272,6 +274,7 @@ def validate_opinion_noise(params: ModelParams) -> None:
             f"maximum admissible variance is {vmax} "
             f"(uniform noise on +-{opinion_noise_halfwidth(params)})"
         )
+    return halfwidth
 
 
 def validate_price_noise(params: ModelParams, rho_C: float, rho_F: float,

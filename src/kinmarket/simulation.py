@@ -24,7 +24,6 @@ operation order of their defining expressions, so the bits are the same.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -343,7 +342,7 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     k = first.size
     if k == 0:
         return 0
-    c = math.sqrt(3.0 * params.sigma2_opinion)
+    c = validate_opinion_noise(params)
     noise = rng.uniform(-c, c, 2 * k)
     y1 = np.take(ensemble.y, first, out=work("pair_y", k), mode="clip")
     y2 = np.take(ensemble.y, second, out=work("pair_y_star", k), mode="clip")

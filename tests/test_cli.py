@@ -1,10 +1,18 @@
 """Command-line interface: presets, regime tags, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import erfinv
 
+import kinmarket
 from kinmarket.cli import (
     PRESETS,
+    _lognormal_overlay_grid,
     classify_regime,
     load_config_file,
     main,
@@ -136,6 +144,10 @@ class TestClassifyRegime:
 SMALL = ["--n-agents", "400", "--n-price-samples", "400", "--iters", "60"]
 
 
+def _keyvalues(text):
+    return dict(ln.split("=", 1) for ln in text.splitlines())
+
+
 class TestMainCommand:
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "r1"
@@ -254,9 +266,50 @@ class TestMainCommand:
         assert main(["run", "--preset", "test1", "--seed", "5",
                      "--out", str(out)] + SMALL) == 0
         original = (out / "summary.txt").read_text()
-        (out / "summary.txt").unlink()
+        # keep only the run totals, which no other file of the run holds
+        (out / "summary.txt").write_text("".join(
+            ln + "\n" for ln in original.splitlines()
+            if ln.split("=", 1)[0] in ("interaction_rejections",
+                                       "switches_to_fundamentalist",
+                                       "switches_to_chartist")))
         assert main(["analyze", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_text() == original
+
+    def test_analyze_reports_the_runs_counters(self, tmp_path, capsys):
+        # a switching run rejects no interaction here but moves agents both
+        # ways; analyze must report its totals, not zeros
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test3a", "--seed", "3", "--out",
+                     str(out), "--n-agents", "2000", "--n-price-samples",
+                     "2000", "--iters", "40"]) == 0
+        ran = _keyvalues(capsys.readouterr().out)
+        keys = ("interaction_rejections", "switches_to_fundamentalist",
+                "switches_to_chartist")
+        assert int(ran["switches_to_fundamentalist"]) > 0
+        assert int(ran["switches_to_chartist"]) > 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        analyzed = _keyvalues(capsys.readouterr().out)
+        assert [analyzed[k] for k in keys] == [ran[k] for k in keys]
+        assert (out / "summary.txt").read_text() == "".join(
+            f"{k}={v}\n" for k, v in ran.items())
+
+    def test_analyze_leaves_out_counters_it_cannot_read(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test3a", "--seed", "3", "--out",
+                     str(out)] + SMALL) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        (out / "summary.txt").write_text("".join(
+            ln + "\n" for ln in lines if not ln.startswith("switches_to_chartist=")))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 0
+        analyzed = _keyvalues(capsys.readouterr().out)
+        assert "switches_to_chartist" not in analyzed
+        assert "switches_to_fundamentalist" in analyzed
+        (out / "summary.txt").unlink()
+        assert main(["analyze", "--out", str(out)]) == 0
+        analyzed = _keyvalues(capsys.readouterr().out)
+        assert not {"interaction_rejections", "switches_to_fundamentalist",
+                    "switches_to_chartist"} & set(analyzed)
 
     def test_analyze_rejects_an_edited_population_share(self, tmp_path, capsys):
         # rho_C = 0.500013 is no whole number of agents out of N = 400; with
@@ -287,6 +340,40 @@ class TestMainCommand:
         assert main(["run", "--preset", "test1", "--seed", "3", "--out",
                      str(out), "--pin-mean", "off"] + SMALL) == 0
         assert load_config_file(out / "config.txt")["pin_mean"] is False
+
+
+class TestNumpyOnly:
+    def test_run_and_analyze_load_no_scipy(self, tmp_path):
+        # a fresh interpreter: import, resolve every preset, run each small,
+        # analyze each run directory, then list the scipy modules loaded
+        code = (
+            "import sys\n"
+            "import kinmarket\n"
+            "from kinmarket.cli import PRESETS, main, preset\n"
+            "for name in PRESETS:\n"
+            "    preset(name)\n"
+            "    small = ['--n-agents', '400', '--n-price-samples', '400',\n"
+            "             '--iters', '30']\n"
+            "    assert main(['run', '--preset', name, '--out', name] + small) == 0\n"
+            "    assert main(['analyze', '--out', name]) == 0\n"
+            "print('scipy:', sorted(m for m in sys.modules\n"
+            "                       if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(kinmarket.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "scipy: []"
+
+    def test_lognormal_overlay_grid_matches_erfinv(self):
+        for m, v in ((2.3, 0.04), (0.0, 1.0), (-1.5, 3e-4)):
+            qs = np.linspace(1e-4, 1.0 - 1e-4, 801)
+            old = np.exp(m + np.sqrt(2.0 * v) * erfinv(2.0 * qs - 1.0))
+            grid = _lognormal_overlay_grid(m, v)
+            assert grid.shape == (801,)
+            assert np.max(np.abs(grid / old - 1.0)) <= 1e-13
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, ndtr
 
 from kinmarket.fokker_planck import (
     ChartistEquilibrium,
@@ -21,7 +22,7 @@ from kinmarket.fokker_planck import (
     solve_macro_ode,
     solve_Y_fixed_point,
 )
-from kinmarket.model import ModelParams, ValueFunctionSpec
+from kinmarket.model import ModelParams, NumericsError, ValueFunctionSpec
 
 
 class TestFokkerPlanckParams:
@@ -101,6 +102,40 @@ class TestChartistEquilibrium:
         centers = 0.5 * (edges[:-1] + edges[1:])
         assert np.abs(hist - eq(centers)).mean() < 0.03
 
+    @pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("y_star", [0.0, 0.3])
+    def test_log_mass_matches_quadrature(self, kappa, y_star):
+        # the unnormalized density in u = atanh(y), integrated by quad as the
+        # normalization did before it became a trapezoid sum
+        p, q = -2.0 + y_star / (2.0 * kappa), -2.0 - y_star / (2.0 * kappa)
+
+        def integrand(u):
+            y = math.tanh(u)
+            if abs(y) >= 1.0:
+                return 0.0
+            return math.exp(p * math.log1p(y) + q * math.log1p(-y)
+                            - (1.0 - y_star * y) / (kappa * (1.0 - y) * (1.0 + y))
+                            ) / math.cosh(u) ** 2
+
+        mass, _ = quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13,
+                       limit=500)
+        eq = ChartistEquilibrium(y_star, kappa)
+        assert abs(-eq._log_c0 - math.log(mass)) <= 1e-10
+
+    @pytest.mark.parametrize("kappa", [5.0 / 9.0 * 1e-3, 6.7e-4])
+    def test_normalizes_where_the_mass_underflows(self, kappa):
+        # the test3 kappas: the unnormalized mass is ~exp(-1/kappa), below the
+        # smallest double, so only the log-space sum can normalize it
+        eq = ChartistEquilibrium(0.0, kappa)
+        assert math.exp(-1.0 / kappa) == 0.0
+        mass, _ = quad(eq, -1.0, 1.0, points=[0.0], limit=200)
+        assert mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_unresolved_peak_raises(self):
+        # at kappa = 1e-7 the peak is ~2e-4 wide in u, narrower than the nodes
+        with pytest.raises(NumericsError):
+            ChartistEquilibrium(0.0, 1e-7)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ChartistEquilibrium(1.0, 1.0)
@@ -133,6 +168,13 @@ class TestLognormalPrice:
         with pytest.raises(ValueError):
             lognormal_price_density(1.0, 10.0, 90.0)
 
+    def test_cdf_matches_ndtr(self):
+        S, E = 10.0, 150.0
+        s = np.geomspace(1e-2, 1e3, 2001)
+        m, v = math.log(S * S / math.sqrt(E)), math.log(E / (S * S))
+        assert np.max(np.abs(lognormal_price_cdf(s, S, E)
+                             - ndtr((np.log(s) - m) / math.sqrt(v)))) <= 1e-15
+
     def test_cdf_consistent_with_density(self):
         S, E = 10.0, 150.0
         for s in (2.0, 8.0, 15.0, 40.0):
@@ -145,6 +187,10 @@ class TestParetoSteadyState:
     def test_normalization_constant(self):
         ps = ParetoSteadyState(2.0, 20.0)
         assert ps.C1 == pytest.approx(400.0, rel=1e-12)
+        for mu in (1.5, 2.0, 3.0, 5.0, 37.5):
+            ps = ParetoSteadyState(mu, 20.0)
+            assert ps._log_c1 == pytest.approx(
+                mu * math.log((mu - 1.0) * 20.0) - gammaln(mu), rel=1e-15)
 
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0, 5.0])
     def test_mass_and_mean(self, mu):

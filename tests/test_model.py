@@ -212,12 +212,14 @@ class TestNoiseBounds:
         assert str(max_opinion_noise_variance(p))[:6] in str(err.value)
 
     def test_admissible_variance_accepted(self):
-        validate_opinion_noise(ModelParams(alpha1=0.01, alpha2=0.01,
-                                           sigma2_opinion=0.02))
+        c = validate_opinion_noise(ModelParams(alpha1=0.01, alpha2=0.01,
+                                               sigma2_opinion=0.02))
+        # the half-width of the noise support the interaction draws from
+        assert c == math.sqrt(3.0 * 0.02)
 
     def test_nonquadratic_diffusion_skips_support_check(self):
         p = ModelParams(alpha1=0.4, alpha2=0.4, sigma2_opinion=0.5, gamma_diff=2.0)
-        validate_opinion_noise(p)
+        assert validate_opinion_noise(p) == math.sqrt(1.5)
 
 
 class TestModelParamsValidation:

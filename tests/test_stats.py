@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
+from scipy.integrate import quad
 
+from kinmarket.fokker_planck import ChartistEquilibrium, lognormal_price_cdf
 from kinmarket.stats import (
     Histogram,
     hill_plateau,
@@ -72,6 +75,12 @@ class TestHill:
         assert scan.plateau_found
         assert scan.estimate == pytest.approx(2.0, rel=0.1)
 
+    def test_plateau_sorts_once_with_the_same_estimates(self):
+        x = np.random.default_rng(18).pareto(2.0, 20000) + 1.0
+        scan = hill_plateau(x)
+        assert np.array_equal(scan.estimates,
+                              [hill_tail_index(x, int(k)) for k in scan.k_values])
+
     def test_degenerate_samples_rejected(self):
         with pytest.raises(ValueError):
             hill_tail_index(np.ones(1000), 100)
@@ -100,7 +109,8 @@ class TestL1Distance:
         h = Histogram.from_samples(np.random.default_rng(9).random(1000),
                                    bins=20, range=(0.0, 1.0))
         # analytic density lives entirely on [2, 3]
-        d = l1_density_distance(h, lambda x: 1.0 if 2.0 <= x <= 3.0 else 0.0)
+        d = l1_density_distance(
+            h, lambda x: np.where((2.0 <= x) & (x <= 3.0), 1.0, 0.0))
         assert d == pytest.approx(2.0, abs=1e-9)
 
     def test_identical_step_density_is_zero(self):
@@ -152,6 +162,31 @@ class TestLognormalFit:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             lognormal_fit([1.0, 0.0, 2.0])
+
+
+class TestScipyOracles:
+    def test_ks_matches_kstest(self):
+        rng = np.random.default_rng(19)
+        x = rng.lognormal(2.3, 0.15, 20000)
+
+        def cdf(s):
+            return lognormal_price_cdf(s, 10.0, 103.0)
+
+        assert abs(ks_statistic(x, cdf)
+                   - sp_stats.kstest(x, cdf).statistic) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    def test_l1_matches_quad_per_cell(self, kappa):
+        eq = ChartistEquilibrium(0.0, kappa)
+        h = Histogram.from_samples(eq.sample(np.random.default_rng(20), 5000),
+                                   bins=100, range=(-1.0, 1.0))
+        inner = covered = 0.0
+        for a, b, d in zip(h.edges[:-1], h.edges[1:], h.density):
+            cell_mass, _ = quad(eq, a, b, limit=100)
+            covered += cell_mass
+            inner += abs(d - cell_mass / (b - a)) * (b - a)
+        assert abs(l1_density_distance(h, eq)
+                   - (inner + max(0.0, 1.0 - covered))) <= 1e-9
 
 
 class TestKsStatistic:
