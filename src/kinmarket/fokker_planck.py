@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,7 +130,8 @@ class ChartistEquilibrium:
 
     with kappa the ratio of scaled noise intensity to total interaction
     strength.  Normalization to total mass rho_C happens once, at
-    construction.  Instances are immutable and safe to share across workers.
+    construction; the sampler's rejection bound, at the first draw.
+    Instances are otherwise immutable and safe to share across workers.
     """
 
     def __init__(self, Y_star: float, kappa: float, rho_C: float = 1.0):
@@ -203,10 +205,14 @@ class ChartistEquilibrium:
         l2 = -self._p / (1.0 + yv) ** 2 - self._q / (1.0 - yv) ** 2 - d2u / kap
         return l1, l2
 
+    @cached_property
+    def _sample_bound(self) -> float:
+        # the rejection bound: 5% above the density's maximum on a fine grid
+        return 1.05 * float(np.max(self(np.linspace(-1.0, 1.0, 100001))))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n opinions by rejection from a uniform proposal on (-1, 1)."""
-        grid = np.linspace(-1.0, 1.0, 100001)
-        bound = 1.05 * float(np.max(self(grid)))
+        bound = self._sample_bound
         out = np.empty(n)
         filled = 0
         while filled < n:

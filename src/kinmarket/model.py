@@ -175,17 +175,16 @@ def diffusion(params: ModelParams, y, out=None):
     return d
 
 
-def chartist_profit(params: ModelParams, y, S: float, S_dot: float, out=None):
+def chartist_profit(params: ModelParams, y, S: float, S_dot: float):
     """Chartist excess profit sgn(y) * ((S_dot/mu + D)/S - r).
 
     The sign factor accounts for the agent's position: buyers gain from an
-    uptrend, sellers from a downtrend.  Requires S > 0.  ``out``, an array
-    shaped like ``y``, receives the result when given.
+    uptrend, sellers from a downtrend.  Requires S > 0.
     """
     if S <= 0.0:
         raise ValueError(f"price must be positive to evaluate profits, got S={S}")
     signal = (S_dot / params.mu_freq + params.dividend) / S - params.r_return
-    return np.multiply(np.sign(y, out=out), signal, out=out)
+    return np.sign(y) * signal
 
 
 def fundamentalist_profit(params: ModelParams, S: float) -> float:
@@ -195,18 +194,9 @@ def fundamentalist_profit(params: ModelParams, S: float) -> float:
     return params.k_discount * abs(params.S_F - S) / S
 
 
-def price_drift(params: ModelParams, s, Y: float, rho_C: float, rho_F: float,
-                out=None, tmp=None):
-    """Mean-price drift per unit beta, rho_C t_C Y s + rho_F gamma_f (S_F - s).
-
-    Scalars or arrays; ``out`` and ``tmp``, arrays shaped like ``s``, receive
-    the result and serve as scratch when given.
-    """
-    drift = np.multiply(s, rho_C * params.t_C * Y, out=out)
-    reversion = np.subtract(params.S_F, s, out=tmp)
-    reversion *= rho_F * params.gamma_f
-    drift += reversion
-    return drift
+def price_drift(params: ModelParams, s, Y: float, rho_C: float, rho_F: float):
+    """Mean-price drift per unit beta, rho_C t_C Y s + rho_F gamma_f (S_F - s)."""
+    return rho_C * params.t_C * Y * s + rho_F * params.gamma_f * (params.S_F - s)
 
 
 # exp(60) ~ 1e26: any switch rate beyond this saturates min(1, .) for every
@@ -214,15 +204,13 @@ def price_drift(params: ModelParams, s, Y: float, rho_C: float, rho_F: float,
 _MAX_SWITCH_EXPONENT = 60.0
 
 
-def switch_rate(params: ModelParams, x, out=None):
+def switch_rate(params: ModelParams, x):
     """Strategy-switch rate exp(sigma * x), the exponent capped at 60.
 
-    Monotone nondecreasing and positive; ``out``, an array shaped like ``x``
-    (it may be ``x``), receives the result when given.
+    Monotone nondecreasing and positive.
     """
-    expo = np.multiply(params.sigma_switch, x, out=out)
-    expo = np.minimum(expo, _MAX_SWITCH_EXPONENT, out=out)
-    rate = np.exp(expo, out=out)
+    rate = np.exp(np.minimum(np.multiply(params.sigma_switch, x),
+                             _MAX_SWITCH_EXPONENT))
     return float(rate) if np.ndim(x) == 0 else rate
 
 

@@ -102,6 +102,34 @@ class TestChartistEquilibrium:
         centers = 0.5 * (edges[:-1] + edges[1:])
         assert np.abs(hist - eq(centers)).mean() < 0.03
 
+    def test_sampler_bound_evaluated_once_with_the_same_draws(self, monkeypatch):
+        def per_call_sample(eq, rng, n):
+            # the sampler as it stood, with the bound found at every call
+            bound = 1.05 * float(np.max(eq(np.linspace(-1.0, 1.0, 100001))))
+            out, filled = np.empty(n), 0
+            while filled < n:
+                m = max(2 * (n - filled), 1024)
+                y = rng.uniform(-1.0, 1.0, m)
+                acc = y[rng.uniform(0.0, bound, m) < eq(y)]
+                take = min(acc.size, n - filled)
+                out[filled:filled + take] = acc[:take]
+                filled += take
+            return out
+
+        want = [per_call_sample(ChartistEquilibrium(0.2, 0.5),
+                                np.random.default_rng(seed), 3000)
+                for seed in (12, 13)]
+        sizes = []
+        density = ChartistEquilibrium.__call__
+        monkeypatch.setattr(ChartistEquilibrium, "__call__",
+                            lambda self, y: sizes.append(np.size(y))
+                            or density(self, y))
+        eq = ChartistEquilibrium(0.2, 0.5)
+        got = [eq.sample(np.random.default_rng(seed), 3000) for seed in (12, 13)]
+        assert sizes.count(100001) == 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     @pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("y_star", [0.0, 0.3])
     def test_log_mass_matches_quadrature(self, kappa, y_star):

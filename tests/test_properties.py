@@ -110,12 +110,13 @@ def test_binary_interact_stays_in_unit_interval(pd, data, n):
        seed=st.integers(0, 2**32))
 def test_switching_conserves_agents(pd, data, n, S, trend, seed):
     params, dt = pd
-    ens = AgentEnsemble(y=data.draw(propensities(n)),
-                        is_chartist=data.draw(hnp.arrays(bool, n)))
+    y, is_chartist = data.draw(propensities(n)), data.draw(hnp.arrays(bool, n))
+    ens = AgentEnsemble(y=y[is_chartist],
+                        n_fundamentalists=int(n - is_chartist.sum()))
     before = ens.n_chartists
     cf, fc = step_strategy_exchange(ens, S, trend, params, dt,
                                     np.random.default_rng(seed))
     assert ens.N == n
     assert 0 <= cf <= before and 0 <= fc <= n - before
     assert ens.n_chartists == before - cf + fc
-    assert np.all(np.abs(ens.y[ens.is_chartist]) <= 1.0)
+    assert np.all(np.abs(ens.y) <= 1.0)

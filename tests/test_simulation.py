@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import kinmarket.simulation
 from kinmarket.cli import PRESETS, preset
 from kinmarket.model import (
     ConfigurationError,
@@ -31,6 +33,24 @@ from kinmarket.simulation import (
     step_strategy_exchange,
     _switch_probabilities,
 )
+
+
+# repetitions of one step in the law tests of the samplers
+LAW_REPS = 2000
+
+
+def assert_same_law(got, want, what):
+    """Two samples of one count agree within Monte Carlo error: the means to
+    4 standard errors, the distributions by a two-sample KS test at p > 1e-3."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    se = math.sqrt(got.var(ddof=1) / got.size + want.var(ddof=1) / want.size)
+    assert abs(got.mean() - want.mean()) <= 4.0 * se, what
+    assert ks_2samp(got, want).pvalue > 1e-3, what
+
+
+def sign_counts(y):
+    return np.array([np.count_nonzero(y < 0.0), np.count_nonzero(y == 0.0),
+                     np.count_nonzero(y > 0.0)])
 
 
 def small_config(**over):
@@ -107,22 +127,23 @@ class TestBinaryInteract:
 class TestStepChartists:
     def test_empty_population_unchanged(self):
         p = ModelParams()
-        ens = AgentEnsemble(y=np.zeros(100), is_chartist=np.zeros(100, bool))
+        ens = AgentEnsemble(y=np.zeros(0), n_fundamentalists=100)
         rej = step_chartists(ens, 0.0, p, 1.0, np.random.default_rng(0))
         assert rej == 0
         assert np.all(ens.y == 0.0)
+        assert ens.N == 100 and ens.n_chartists == 0
 
     def test_frozen_dynamics_without_coupling(self):
         p = ModelParams(alpha1=0.0, alpha2=0.0, sigma2_opinion=0.0)
         rng = np.random.default_rng(1)
         y0 = rng.uniform(-1, 1, 500)
-        ens = AgentEnsemble(y=y0.copy(), is_chartist=np.ones(500, bool))
+        ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=0)
         step_chartists(ens, 0.0, p, 1.0, rng)
         assert np.array_equal(ens.y, y0)
 
     def test_probability_overflow_rejected(self):
         p = ModelParams()
-        ens = AgentEnsemble(y=np.zeros(100), is_chartist=np.ones(100, bool))
+        ens = AgentEnsemble(y=np.zeros(100), n_fundamentalists=0)
         with pytest.raises(ConfigurationError):
             step_chartists(ens, 0.0, p, 1.5, np.random.default_rng(0))
 
@@ -135,15 +156,38 @@ class TestStepChartists:
         for _ in range(100):
             u = rng.random(5000)
             y = np.concatenate([u, -u])
-            ens = AgentEnsemble(y=y, is_chartist=np.ones(10000, bool))
+            ens = AgentEnsemble(y=y, n_fundamentalists=0)
             step_chartists(ens, 0.0, p, 1.0, rng)
             assert abs(ens.y.mean()) < 5e-3
+
+    @pytest.mark.parametrize("n_f", [0, 700, 2100])
+    def test_pair_law_matches_per_agent_reference(self, n_f):
+        # with alpha1 = 0, alpha2 = 1/2 and no noise an interaction moves y to
+        # y/2 + 1/2 toward phi = 1, so the chartists that moved are the ones
+        # that interacted; rho_C dt is 1, 0.59 and 0.32
+        p = ModelParams(alpha1=0.0, alpha2=0.5, sigma2_opinion=0.0)
+        n_c = 1001
+        y0 = np.random.default_rng(9).uniform(-1.0, 0.9, n_c)
+        mask = np.arange(n_c + n_f) < n_c
+        rng = np.random.default_rng(10)
+        got, want = [], []
+        for _ in range(LAW_REPS):
+            ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=n_f)
+            step_chartists(ens, 1.0, p, 1.0, rng)
+            moved = ens.y != y0
+            got.append((moved.sum() // 2, moved[0]))
+            y = np.concatenate([y0, np.zeros(n_f)])
+            _ref_step_chartists(y, mask, 1.0, p, 1.0, rng)
+            moved = y[:n_c] != y0
+            want.append((moved.sum() // 2, moved[0]))
+        got, want = np.array(got), np.array(want)
+        assert_same_law(got[:, 0], want[:, 0], "interacting pairs")
+        assert_same_law(got[:, 1], want[:, 1], "chartist 0 interacts")
 
     def test_rejections_zero_under_admissible_noise(self):
         p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02)
         rng = np.random.default_rng(3)
-        ens = AgentEnsemble(y=rng.uniform(-1, 1, 20000),
-                            is_chartist=np.ones(20000, bool))
+        ens = AgentEnsemble(y=rng.uniform(-1, 1, 20000), n_fundamentalists=0)
         total = 0
         for _ in range(20):
             total += step_chartists(ens, 0.5, p, 1.0, rng)
@@ -220,8 +264,8 @@ class TestStrategyExchange:
         p = self.params()
         rng = np.random.default_rng(5)
         n = 50000
-        ens = AgentEnsemble(y=rng.uniform(-1, 1, n),
-                            is_chartist=np.arange(n) < n // 2)
+        ens = AgentEnsemble(y=rng.uniform(-1, 1, n)[:n // 2],
+                            n_fundamentalists=n - n // 2)
         before = ens.n_chartists
         cf, fc = step_strategy_exchange(ens, 20.0, 0.0, p, 1.0, rng)
         assert cf > 0 and fc > 0
@@ -230,8 +274,7 @@ class TestStrategyExchange:
     def test_no_fundamentalists_means_no_departures(self):
         p = self.params()
         rng = np.random.default_rng(6)
-        ens = AgentEnsemble(y=rng.uniform(-1, 1, 1000),
-                            is_chartist=np.ones(1000, bool))
+        ens = AgentEnsemble(y=rng.uniform(-1, 1, 1000), n_fundamentalists=0)
         cf, fc = step_strategy_exchange(ens, 15.0, -0.01, p, 1.0, rng)
         assert cf == 0 and fc == 0
 
@@ -239,29 +282,59 @@ class TestStrategyExchange:
         p = self.params()
         rng = np.random.default_rng(7)
         n = 10000
-        ens = AgentEnsemble(y=rng.uniform(-1, 1, n),
-                            is_chartist=np.arange(n) < n // 2)
+        ens = AgentEnsemble(y=rng.uniform(-1, 1, n)[:n // 2],
+                            n_fundamentalists=n - n // 2)
         for trend in (0.02, -0.05, 0.0):
             step_strategy_exchange(ens, 18.0, trend, p, 1.0, rng)
             assert ens.N == n
-            assert ens.n_chartists + (~ens.is_chartist).sum() == n
+            assert ens.n_chartists + ens.n_fundamentalists == n
 
     def test_new_chartists_adopt_pool_propensity(self):
         p = self.params()
         rng = np.random.default_rng(8)
         n = 2000
-        y = np.full(n, 0.7)
-        ens = AgentEnsemble(y=y, is_chartist=np.arange(n) < n // 2)
-        ens.y[~ens.is_chartist] = 0.0
-        step_strategy_exchange(ens, 19.0, 0.05, p, 1.0, rng)
-        # every fundamentalist that became a chartist sampled from {0.7}
-        new_chartists = ens.is_chartist & (np.arange(n) >= n // 2)
-        assert new_chartists.sum() > 0
-        assert np.all(ens.y[new_chartists] == 0.7)
+        ens = AgentEnsemble(y=np.full(n // 2, 0.7), n_fundamentalists=n - n // 2)
+        _, fc = step_strategy_exchange(ens, 19.0, 0.05, p, 1.0, rng)
+        # every fundamentalist that became a chartist sampled from {0.7}; the
+        # arrivals are appended
+        new_chartists = ens.y[ens.n_chartists - fc:]
+        assert new_chartists.size > 0
+        assert np.all(new_chartists == 0.7)
+
+    @pytest.mark.parametrize("trend", [0.2, -0.1])
+    def test_exchange_law_matches_per_agent_reference(self, trend):
+        # 300 buyers, 200 sellers, 100 neutral chartists and 400
+        # fundamentalists; the switch probabilities differ by sign class
+        p = self.params()
+        rng = np.random.default_rng(11)
+        y0 = np.concatenate([rng.uniform(0.01, 1.0, 300),
+                             rng.uniform(-1.0, -0.01, 200), np.zeros(100)])
+        n_c, n_f = y0.size, 400
+        got, want = [], []
+        for _ in range(LAW_REPS):
+            ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=n_f)
+            cf, fc = step_strategy_exchange(ens, 19.0, trend, p, 1.0, rng)
+            # the chartists that stay keep their order; arrivals come last
+            stay, adopted = ens.y[:n_c - cf], ens.y[n_c - cf:]
+            got.append([*(sign_counts(y0) - sign_counts(stay)), fc,
+                        *sign_counts(adopted)])
+            y = np.concatenate([y0, np.zeros(n_f)])
+            mask = np.arange(n_c + n_f) < n_c
+            _ref_step_strategy_exchange(y, mask, 19.0, trend, p, 1.0, rng)
+            left = ~mask[:n_c]
+            arrived = mask[n_c:]
+            want.append([*sign_counts(y0[left]), arrived.sum(),
+                         *sign_counts(y[n_c:][arrived])])
+        got, want = np.array(got), np.array(want)
+        for j, what in enumerate(["departing sellers", "departing neutrals",
+                                  "departing buyers", "arrivals",
+                                  "adopted sellers", "adopted neutrals",
+                                  "adopted buyers"]):
+            assert_same_law(got[:, j], want[:, j], what)
 
     def test_nonpositive_price_rejected(self):
         p = self.params()
-        ens = AgentEnsemble(y=np.zeros(10), is_chartist=np.ones(10, bool))
+        ens = AgentEnsemble(y=np.zeros(10), n_fundamentalists=0)
         with pytest.raises(ValueError):
             step_strategy_exchange(ens, 0.0, 0.0, p, 1.0,
                                    np.random.default_rng(0))
@@ -407,6 +480,17 @@ class TestRun:
         run(cfg)
         assert len(calls) == 21
 
+    def test_trace_hooks_exist_where_they_are_looked_up(self):
+        # the benchmark's tracer (bench/harness.py install_spans) replaces
+        # these names where the engine looks them up; a missing one fails a
+        # traced benchmark run with KeyError
+        module = vars(kinmarket.simulation)
+        for name in ("step_chartists", "binary_interact",
+                     "step_strategy_exchange", "step_price",
+                     "chartist_profit", "value_function"):
+            assert callable(module.get(name)), name
+        assert callable(vars(AgentEnsemble).get("mean_propensity"))
+
     @pytest.mark.parametrize("values", [
         np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0]),
         np.array([17.25]),
@@ -455,11 +539,11 @@ class TestRun:
 
 # --------------------------------------------------------------------------
 # The sequential loop as it stood before the engine gathered chartists by
-# index, reused one mean per iteration and wrote into scratch buffers.  It is
-# kept verbatim (bar the removed thread-pool path, and with the herding,
-# diffusion, profit and switch-rate formulas inlined), so that any change of
-# the engine's random draws or floating-point operations shows up as a
-# difference in some output bit.
+# index, reused one mean per iteration, wrote into scratch buffers and sampled
+# pairs, switches and prices from fewer draws.  It is kept verbatim (bar the
+# removed thread-pool path, and with the herding, diffusion, profit and
+# switch-rate formulas and the initialization inlined), one uniform per pair
+# and per switching agent, as an independent oracle of the engine's law.
 # --------------------------------------------------------------------------
 
 def _ref_binary_interact(y, y_star, phi_val, eta, eta_star, params):
@@ -566,13 +650,26 @@ def _ref_recenter(y, mask):
         y[mask] = np.clip(yc - yc.mean(), -1.0, 1.0)
 
 
+def _ref_initialize(config, rng):
+    n_c = int(round(config.rho_C0 * config.N))
+    init = config.chartist_init
+    if callable(init):
+        y0 = init(rng, n_c)
+    elif init == "symmetric_uniform":
+        u = rng.random(n_c // 2)
+        y0 = np.concatenate([u, -u, np.zeros(n_c % 2)])
+    else:
+        raise ValueError(f"the reference loop has no chartist_init {init!r}")
+    y = np.zeros(config.N)
+    y[:n_c] = y0
+    return y, np.arange(config.N) < n_c
+
+
 def _reference_run(config):
     params = config.params
     validate_opinion_noise(params)
     rng = np.random.default_rng(config.seed)
-    ens = AgentEnsemble.initialize(config.N, config.rho_C0,
-                                   config.chartist_init, rng)
-    y, mask = ens.y, ens.is_chartist
+    y, mask = _ref_initialize(config, rng)
     s = np.full(config.N_s, float(config.S0))
     S_prev = S_curr = float(config.S0)
     trend = 0.0
@@ -622,8 +719,52 @@ def _reference_run(config):
                 y_final=y[mask].copy(), s_final=s.copy(), **counts)
 
 
+# The law test below compares run() and the reference loop over LAW_SEEDS
+# seeds at N = N_s = 2999 and 80 iterations, by two-sample KS distances.
+# The samples of one run share its market path, so pooled samples spread far
+# wider than independent ones.  The bounds are calibrated from the reference
+# loop against itself on disjoint blocks of 20 seeds, 40 block pairs for each
+# of the 20 cases, 80 per (preset, pin_mean): each bound is 1.5 times the
+# largest distance seen, rounded up.  The per-run terminal S and rho_C reached
+# 0.55 and 0.5 (11 and 1 of 800 pairs at 0.5 or more).  Without a pinned mean
+# the test3 chartists of one run sit in a narrow bump that moves with its
+# market path, so their pooled y has ~20 effective samples, like the per-run
+# statistics, and takes their bound: the largest distance seen was 0.25 and,
+# of run() against the reference, 0.33.
+LAW_SEEDS = 20
+LAW_KS_PER_RUN = 0.6
+# (preset, pin_mean) -> bounds on the KS distance of the pooled terminal y
+# and s
+LAW_KS_POOLED = {
+    ("test1", True): (0.0086, 0.016), ("test1", False): (0.054, 0.39),
+    ("test2", True): (0.015, 0.012), ("test2", False): (0.022, 0.014),
+    ("test3a", True): (0.12, 0.015), ("test3a", False): (LAW_KS_PER_RUN, 0.098),
+    ("test3b", True): (0.12, 0.015), ("test3b", False): (LAW_KS_PER_RUN, 0.056),
+    ("test3c", True): (0.072, 0.016), ("test3c", False): (LAW_KS_PER_RUN, 0.056),
+}
+
+
+def _terminal_laws(simulate, cfg, seeds):
+    """Per-run outputs, and the pooled terminal y and s with the per-run
+    terminal S and rho_C."""
+    runs = []
+    for seed in seeds:
+        r = simulate(dataclasses.replace(cfg, seed=seed))
+        runs.append(r if isinstance(r, dict) else vars(r))
+    laws = {"y": np.concatenate([r["y_final"] for r in runs]),
+            "s": np.concatenate([r["s_final"] for r in runs]),
+            "S": np.array([r["S"][-1] for r in runs]),
+            "rho_C": np.array([r["rho_C"][-1] for r in runs])}
+    return runs, laws
+
+
 class TestBitIdentity:
-    """run() against the reference loop: every recorded bit must agree."""
+    """run() against the reference loop.
+
+    The engine draws its pairs, switches and price noise from other draws
+    than the reference loop, so after the initialization, which both draw
+    alike, they agree in law, not bit for bit.
+    """
 
     @pytest.mark.parametrize("pin_mean", [True, False], ids=["pinned", "free"])
     @pytest.mark.parametrize("seed, dt", [(1, 1.0), (7, 0.3)])
@@ -632,15 +773,22 @@ class TestBitIdentity:
         # odd sizes reach the leftover-agent path of the pairing step; a
         # time step below 1 tells apart products that dt = 1 would make equal
         cfg = dataclasses.replace(
-            preset(name, {"seed": seed, "N": 2999, "N_s": 2999,
-                          "n_iters": 80, "dt": dt}).sim,
+            preset(name, {"N": 2999, "N_s": 2999, "n_iters": 80, "dt": dt}).sim,
             pin_mean=pin_mean)
-        traj = run(cfg)
-        ref = _reference_run(cfg)
-        assert traj.N == cfg.N and traj.dt == cfg.dt
-        for field, want in ref.items():
-            got = getattr(traj, field)
-            assert np.array_equal(got, want), field
-            assert np.array_equal(np.signbit(got), np.signbit(want)), field
-        if cfg.enable_switching:
-            assert traj.n_switches_cf > 0 and traj.n_switches_fc > 0
+        seeds = range(1000 * seed, 1000 * seed + LAW_SEEDS)
+        runs, got = _terminal_laws(run, cfg, seeds)
+        refs, want = _terminal_laws(_reference_run, cfg, seeds)
+        for r, ref in zip(runs, refs):
+            assert r["N"] == cfg.N and r["dt"] == cfg.dt
+            assert len(r["S"]) == len(ref["S"]) == cfg.n_iters + 1
+            # the initial record precedes every step
+            for field in ("S", "Y", "rho_C", "rho_F", "E", "n_chartists",
+                          "max_abs_y", "min_price"):
+                assert r[field][0] == ref[field][0], field
+            if cfg.enable_switching:
+                assert r["n_switches_cf"] > 0 and r["n_switches_fc"] > 0
+        bounds = dict(zip(("y", "s"), LAW_KS_POOLED[name, pin_mean]),
+                      S=LAW_KS_PER_RUN, rho_C=LAW_KS_PER_RUN)
+        for key, bound in bounds.items():
+            ks = ks_2samp(got[key], want[key]).statistic
+            assert ks <= bound, f"{key}: KS distance {ks:.4f} > {bound}"
