@@ -43,8 +43,6 @@ from .simulation import SimConfig, Trajectory, run
 __all__ = ["ExperimentConfig", "preset", "preset_names", "classify_regime",
            "main", "entry"]
 
-REGIMES = ("boom", "crash", "damped_to_SF", "oscillatory", "stationary", "none")
-
 # The three test3 variants share everything but the interaction weights.
 _TEST3_COMMON = dict(
     sigma2_opinion=5e-4, beta=6.0, zeta2_price=2.5e-3, t_C=0.02, gamma_f=0.1,
@@ -153,27 +151,11 @@ def preset(name: str, overrides: dict | None = None,
     params = ModelParams(**{k: table[k] for k in _PARAM_FIELDS})
     value_spec = ValueFunctionSpec(**{k: table[k] for k in _VALUE_FIELDS})
     sim = {k: table[k] for k in _SIM_FIELDS if k in table}  # seed may be absent
-    if sim["chartist_init"] == "equilibrium":
-        kappa = params.sigma2_opinion / (params.alpha1 + params.alpha2)
-        sim["chartist_init"] = _EquilibriumInit(fp.ChartistEquilibrium(0.0, kappa))
     return ExperimentConfig(
         preset=name, out_dir=Path(out_dir) if out_dir else None,
         sim=SimConfig(params=params, value_spec=value_spec, **sim),
         **{k: table[k] for k in _ANALYSIS_FIELDS},
     )
-
-
-class _EquilibriumInit:
-    """Draws initial propensities from the symmetric opinion equilibrium."""
-
-    def __init__(self, eq: fp.ChartistEquilibrium):
-        self.eq = eq
-
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.eq.sample(rng, n)
-
-    def __str__(self) -> str:  # round-trips through config files
-        return "equilibrium"
 
 
 def classify_regime(traj: Trajectory, S_F: float) -> str:
@@ -233,7 +215,6 @@ def _config_table(config: ExperimentConfig) -> dict:
     table = {k: getattr(s.params, k) for k in _PARAM_FIELDS}
     table.update({k: getattr(s.value_spec, k) for k in _VALUE_FIELDS})
     table.update({k: getattr(s, k) for k in _SIM_FIELDS})
-    table["chartist_init"] = str(s.chartist_init)
     table["preset"] = config.preset
     table.update({k: getattr(config, k) for k in _ANALYSIS_FIELDS})
     return table
@@ -306,11 +287,10 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if config.overlay_chartist and y_hist is not None:
-        kappa = p.sigma2_opinion / (p.alpha1 + p.alpha2)
-        eq = fp.ChartistEquilibrium(0.0, kappa)
+        eq = fp.symmetric_equilibrium(fp.FokkerPlanckParams.from_model(p).kappa)
         grid = np.linspace(-1.0, 1.0, 801)
         _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
-        summary["kappa"] = kappa
+        summary["kappa"] = eq.kappa
         summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
 
     if config.overlay_lognormal:

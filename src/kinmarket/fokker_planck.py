@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (
 __all__ = [
     "FokkerPlanckParams",
     "ChartistEquilibrium",
+    "symmetric_equilibrium",
     "chartist_stationary_residual",
     "lognormal_price_density",
     "lognormal_price_cdf",
@@ -224,6 +225,13 @@ class ChartistEquilibrium:
             out[filled:filled + take] = acc[:take]
             filled += take
         return out
+
+
+@cache
+def symmetric_equilibrium(kappa: float) -> ChartistEquilibrium:
+    """The opinion equilibrium at Y* = 0, one per kappa per process, so its
+    normalization and rejection bound are paid once."""
+    return ChartistEquilibrium(0.0, kappa)
 
 
 def chartist_stationary_residual(eq: ChartistEquilibrium, y, alpha_t_sum: float,

@@ -31,10 +31,11 @@ price step reuses it.  Scratch arrays live as long as the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
+from . import fokker_planck as fp
 from .model import (
     ConfigurationError,
     InvariantViolation,
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 InitLaw = Callable[[np.random.Generator, int], np.ndarray]
-ChartistInit = Union[str, InitLaw]
 
 
 @dataclass
@@ -94,15 +94,12 @@ class AgentEnsemble:
         return float(self.y.mean()) if self.y.size else 0.0
 
     @classmethod
-    def initialize(cls, N: int, rho_C0: float, init: ChartistInit,
+    def initialize(cls, config: SimConfig,
                    rng: np.random.Generator) -> "AgentEnsemble":
-        n_c = int(round(rho_C0 * N))
-        y0 = np.array(_init_law(init)(rng, n_c), dtype=float)
-        if y0.shape != (n_c,):
-            raise ConfigurationError("chartist_init must return one value per agent")
-        if np.any(np.abs(y0) > 1.0):
-            raise ConfigurationError("initial propensities must lie in [-1, 1]")
-        return cls(y=y0, n_fundamentalists=N - n_c)
+        """round(rho_C0 N) chartists drawn from the law ``chartist_init`` names."""
+        n_c = int(round(config.rho_C0 * config.N))
+        law = _init_law(config.chartist_init, config.params)
+        return cls(y=law(rng, n_c), n_fundamentalists=config.N - n_c)
 
 
 def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -113,7 +110,7 @@ def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate(parts) if n else np.zeros(0)
 
 
-# the named chartist_init laws; "constant:<v>" and callables are accepted too
+# chartist_init laws; _init_law also resolves "equilibrium", "constant:<v>"
 _NAMED_INITS = {
     "symmetric_uniform": _symmetric_uniform,
     "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
@@ -121,12 +118,14 @@ _NAMED_INITS = {
 }
 
 
-def _init_law(init: ChartistInit) -> InitLaw:
-    """The (rng, n) -> propensities callable that ``init`` names."""
-    if callable(init):
-        return init
-    if isinstance(init, str) and init in _NAMED_INITS:
+def _init_law(init: str, params: ModelParams) -> InitLaw:
+    """The (rng, n) -> propensities law named ``init``; ``equilibrium`` is the
+    opinion equilibrium at Y* = 0 for the kappa of ``params``."""
+    if init in _NAMED_INITS:
         return _NAMED_INITS[init]
+    if init == "equilibrium":
+        kappa = fp.FokkerPlanckParams.from_model(params).kappa
+        return fp.symmetric_equilibrium(kappa).sample
     if isinstance(init, str) and init.startswith("constant:"):
         v = float(init.split(":", 1)[1])
         if abs(v) > 1.0:
@@ -164,7 +163,7 @@ class SimConfig:
     enable_switching: bool = False
     S0: float = 10.0
     rho_C0: float = 1.0
-    chartist_init: ChartistInit = "symmetric_uniform"
+    chartist_init: str = "symmetric_uniform"
     pin_mean: bool = False
 
     def __post_init__(self) -> None:
@@ -183,7 +182,7 @@ class SimConfig:
             raise ConfigurationError("rho_C0 must lie in [0, 1]")
         if self.S0 <= 0.0:
             raise ConfigurationError("initial price S0 must be positive")
-        _init_law(self.chartist_init)
+        _init_law(self.chartist_init, self.params)
 
 
 @dataclass
@@ -442,8 +441,7 @@ def run(config: SimConfig) -> Trajectory:
     validate_opinion_noise(params)
     rng = np.random.default_rng(config.seed)
 
-    ensemble = AgentEnsemble.initialize(config.N, config.rho_C0,
-                                        config.chartist_init, rng)
+    ensemble = AgentEnsemble.initialize(config, rng)
     prices = PriceEnsemble.initialize(config.N_s, config.S0)
 
     n_rec = config.n_iters + 1

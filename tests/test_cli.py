@@ -10,6 +10,7 @@ import pytest
 from scipy.special import erfinv
 
 import kinmarket
+import kinmarket.fokker_planck as fp
 from kinmarket.cli import (
     PRESETS,
     _lognormal_overlay_grid,
@@ -206,17 +207,60 @@ class TestMainCommand:
         for name in PRESETS:
             assert name in text
 
-    def test_config_file_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("name, init", [
+        ("test1", "symmetric_uniform"), ("test2", "equilibrium"),
+        ("test1", "constant:0.3")], ids=["test1", "test2", "constant"])
+    def test_config_file_round_trip(self, tmp_path, name, init):
+        # each kind of chartist_init is written as its name and replays
+        over = tmp_path / "over.txt"
+        over.write_text(f"chartist_init={init}\n")
         out1 = tmp_path / "orig"
-        assert main(["run", "--preset", "test1", "--seed", "11",
-                     "--out", str(out1)] + SMALL) == 0
+        assert main(["run", "--preset", name, "--config", str(over),
+                     "--seed", "11", "--out", str(out1)] + SMALL) == 0
+        saved = load_config_file(out1 / "config.txt")
+        assert saved["chartist_init"] == init
         # replay the recorded config as a custom run
         out2 = tmp_path / "replay"
         assert main(["run", "--preset", "custom",
                      "--config", str(out1 / "config.txt"),
                      "--seed", "11", "--out", str(out2)]) == 0
-        assert (out1 / "trajectory.csv").read_bytes() == \
-            (out2 / "trajectory.csv").read_bytes()
+        replayed = load_config_file(out2 / "config.txt")
+        assert replayed.pop("preset") == "custom"
+        assert saved.pop("preset") == name
+        assert replayed == saved
+        for f in ("trajectory.csv", "y_samples.txt", "s_samples.txt"):
+            assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+    def test_one_equilibrium_per_kappa_per_process(self, tmp_path, monkeypatch):
+        # a test2 run, its analyze and its replay share one equilibrium:
+        # one normalization and one rejection-bound grid
+        built, grids = [], []
+        init, density = fp.ChartistEquilibrium.__init__, fp.ChartistEquilibrium.__call__
+        monkeypatch.setattr(fp.ChartistEquilibrium, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        monkeypatch.setattr(fp.ChartistEquilibrium, "__call__",
+                            lambda self, y: grids.append(np.size(y))
+                            or density(self, y))
+        fp.symmetric_equilibrium.cache_clear()
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "4",
+                     "--out", str(out)] + SMALL) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        assert main(["run", "--preset", "custom", "--config",
+                     str(out / "config.txt"), "--out", str(tmp_path / "re")]) == 0
+        assert built == [(0.0, 1.0)]
+        assert grids.count(100001) == 1
+
+    def test_unnormalizable_equilibrium_exits_two_before_writing(self, tmp_path,
+                                                                 capsys):
+        # kappa = 2e-9 / 0.02 = 1e-7: the peak is narrower than the nodes
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("sigma2_opinion=2e-9\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--config", str(cfg),
+                     "--out", str(out)] + SMALL) == 2
+        assert "ERROR:numerical:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_replay_keeps_the_saved_seed(self, tmp_path):
         # no --seed on the replay: the config file's seed must be used, not 0

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import kinmarket.cli
+import kinmarket.fokker_planck
 import kinmarket.simulation
+import kinmarket.stats
 from kinmarket.cli import PRESETS, preset
 from kinmarket.model import (
     ConfigurationError,
@@ -456,16 +459,20 @@ class TestRun:
         assert traj.s_final.min() >= 0.0
         assert traj.n_switches_cf > 0 and traj.n_switches_fc > 0
 
-    def test_equilibrium_initializer_callable(self):
-        hit = {"n": 0}
+    def test_callable_chartist_init_rejected(self):
+        # chartist_init is a name the engine resolves, not a hook
+        with pytest.raises(ConfigurationError):
+            small_config(chartist_init=lambda rng, n: rng.uniform(-0.5, 0.5, n))
 
-        def init(rng, n):
-            hit["n"] = n
-            return rng.uniform(-0.5, 0.5, n)
-
-        traj = run(small_config(chartist_init=init, n_iters=2))
-        assert hit["n"] == 2000
-        assert len(traj) == 3
+    def test_equilibrium_init_draws_the_opinion_equilibrium(self):
+        cfg = small_config(chartist_init="equilibrium", n_iters=0, rho_C0=0.5)
+        p = cfg.params
+        kappa = p.sigma2_opinion / (p.alpha1 + p.alpha2)
+        want = kinmarket.fokker_planck.ChartistEquilibrium(0.0, kappa).sample(
+            np.random.default_rng(cfg.seed), 1000)
+        traj = run(cfg)
+        assert traj.n_chartists[0] == 1000
+        assert np.array_equal(traj.y_final, want)
 
     def test_one_mean_propensity_per_iteration(self, monkeypatch):
         calls = []
@@ -482,14 +489,26 @@ class TestRun:
 
     def test_trace_hooks_exist_where_they_are_looked_up(self):
         # the benchmark's tracer (bench/harness.py install_spans) replaces
-        # these names where the engine looks them up; a missing one fails a
+        # these names where the program looks them up; a missing one fails a
         # traced benchmark run with KeyError
-        module = vars(kinmarket.simulation)
-        for name in ("step_chartists", "binary_interact",
-                     "step_strategy_exchange", "step_price",
-                     "chartist_profit", "value_function"):
-            assert callable(module.get(name)), name
-        assert callable(vars(AgentEnsemble).get("mean_propensity"))
+        cli, sim = kinmarket.cli, kinmarket.simulation
+        stats, fp = kinmarket.stats, kinmarket.fokker_planck
+        hooks = [(cli, "run"), (cli, "run_experiment"),
+                 (cli, "_analyze_outputs"), (cli, "_cmd_analyze"),
+                 (sim, "step_chartists"), (sim, "binary_interact"),
+                 (sim, "step_strategy_exchange"), (sim, "step_price"),
+                 (sim, "chartist_profit"), (sim, "value_function"),
+                 (sim.AgentEnsemble, "mean_propensity"),
+                 (sim.Trajectory, "to_csv"), (sim.Trajectory, "write_samples"),
+                 (stats, "l1_density_distance"), (stats, "ks_statistic"),
+                 (stats, "hill_plateau"), (stats.Histogram, "from_samples"),
+                 (stats.Histogram, "to_csv"),
+                 (fp.ChartistEquilibrium, "__init__"),
+                 (fp.ChartistEquilibrium, "sample"),
+                 (fp, "pareto_steady_state"), (fp.ParetoSteadyState, "pdf")]
+        for owner, name in hooks:
+            assert name in vars(owner), f"{owner.__name__}.{name}"
+            assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
 
     @pytest.mark.parametrize("values", [
         np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0]),
@@ -653,8 +672,12 @@ def _ref_recenter(y, mask):
 def _ref_initialize(config, rng):
     n_c = int(round(config.rho_C0 * config.N))
     init = config.chartist_init
-    if callable(init):
-        y0 = init(rng, n_c)
+    if init == "equilibrium":
+        # a fresh instance: the engine's is cached per kappa
+        p = config.params
+        eq = kinmarket.fokker_planck.ChartistEquilibrium(
+            0.0, p.sigma2_opinion / (p.alpha1 + p.alpha2))
+        y0 = eq.sample(rng, n_c)
     elif init == "symmetric_uniform":
         u = rng.random(n_c // 2)
         y0 = np.concatenate([u, -u, np.zeros(n_c % 2)])
