@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,20 +241,21 @@ _COUNTERS = {"interaction_rejections": "n_rejected",
              "switches_to_chartist": "n_switches_fc"}
 
 
-def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
-                     out: Path, counters: dict | None = None) -> dict:
+def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
+                     counters: dict) -> dict:
     """Histograms, overlays and the summary table for a finished run.
 
-    ``counters`` replaces the run totals of ``traj`` in the summary; a key
-    missing from it is left out.
+    ``traj`` needs the columns S, Y, rho_C, rho_F and E and the terminal
+    samples y_final and s_final.  ``counters`` holds the run totals for the
+    summary; a key missing from it is left out.
     """
     p = config.sim.params
-    if counters is None:
-        counters = {k: getattr(traj, a) for k, a in _COUNTERS.items()}
+    N = config.sim.N
+    n_chartists = np.round(traj.rho_C * N)
     summary: dict = {
         "preset": config.preset,
         "seed": config.sim.seed,
-        "N": config.sim.N,
+        "N": N,
         "N_s": config.sim.N_s,
         "n_iters": config.sim.n_iters,
         "dt": config.sim.dt,
@@ -266,12 +268,9 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
         "min_price_terminal": float(traj.s_final.min()) if traj.s_final.size else 0.0,
         "max_abs_y_terminal": float(np.abs(traj.y_final).max()) if traj.y_final.size else 0.0,
         "rho_sum_exact": bool(np.all(traj.rho_C + traj.rho_F == 1.0)),
-        # n_chartists / N must give rho_C back exactly, so an edited rho_C
-        # fails the check when analyze rebuilds the counts from it
-        "n_agents_constant": bool(np.all((traj.n_chartists >= 0)
-                                         & (traj.n_chartists <= traj.N)
-                                         & (traj.n_chartists / traj.N
-                                            == traj.rho_C))),
+        # every rho_C must be a whole number of agents in [0, N]
+        "n_agents_constant": bool(np.all((n_chartists >= 0) & (n_chartists <= N)
+                                         & (n_chartists / N == traj.rho_C))),
     }
 
     if traj.y_final.size:
@@ -283,7 +282,7 @@ def _analyze_outputs(config: ExperimentConfig, traj: Trajectory,
     s_hist = stats.Histogram.from_samples(traj.s_final, bins=config.bins_s)
     s_hist.to_csv(out / "s_hist.csv")
 
-    if len(traj) >= 200:
+    if traj.S.size >= 200:
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if config.overlay_chartist and y_hist is not None:
@@ -340,12 +339,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out = config.out_dir
     if out is None:
         raise ConfigurationError("an output directory is required (--out)")
+    # run first: a configuration the engine refuses must leave no directory
+    traj = run(config.sim)
     out.mkdir(parents=True, exist_ok=True)
     _write_keyvalues(out / "config.txt", _config_table(config))
-    traj = run(config.sim)
     traj.to_csv(out / "trajectory.csv")
     traj.write_samples(out / "y_samples.txt", out / "s_samples.txt")
-    return _analyze_outputs(config, traj, out)
+    return _analyze_outputs(config, traj, out,
+                            {k: getattr(traj, a) for k, a in _COUNTERS.items()})
 
 
 # --------------------------------------------------------------------------
@@ -466,15 +467,8 @@ def _cmd_analyze(args) -> int:
     y = np.loadtxt(out / "y_samples.txt", ndmin=1)
     s = np.loadtxt(out / "s_samples.txt", ndmin=1)
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
-    n = rows.shape[0]
-    traj = Trajectory(
-        t=rows[:, 1], S=rows[:, 2], Y=rows[:, 3], rho_C=rows[:, 4],
-        rho_F=rows[:, 5], E=rows[:, 6],
-        n_chartists=np.round(rows[:, 4] * config.sim.N).astype(np.int64),
-        max_abs_y=np.full(n, float(np.abs(y).max()) if y.size else 0.0),
-        min_price=np.full(n, float(s.min()) if s.size else 0.0),
-        N=config.sim.N, dt=config.sim.dt, y_final=y, s_final=s,
-    )
+    traj = SimpleNamespace(S=rows[:, 2], Y=rows[:, 3], rho_C=rows[:, 4],
+                           rho_F=rows[:, 5], E=rows[:, 6], y_final=y, s_final=s)
     # the run's totals are on disk only in the summary this call rewrites
     path = out / "summary.txt"
     ran = (dict(ln.split("=", 1) for ln in path.read_text().splitlines() if "=" in ln)

@@ -18,8 +18,7 @@ The opinion density is normalized once, by a trapezoid sum in u = atanh(y)
 taken in log space.  In u the integrand decays double-exponentially, so the
 sum converges geometrically in the node count, and the log form keeps the
 mass finite where it underflows a double (kappa below ~1.3e-3).  Everything
-here needs numpy and the standard library only; the Pareto CDF and CCDF
-import scipy when they are called.
+here needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -60,16 +59,20 @@ __all__ = [
 _U_MAX = 19.0
 _HALF_NODES = 8000
 _LOG_MASS_TOL = 1e-10
+# classify_equilibrium's tolerance; solve_Y_fixed_point's grid and tolerance
+_EQUILIBRIUM_EPS = 1e-8
+_ROOT_GRID = 10001
+_ROOT_TOL = 1e-12
 
 
-def _on_support(x, inside, f, fill: float = 0.0):
-    """f on the entries of x where ``inside`` holds, ``fill`` elsewhere.
+def _on_support(x, inside, f):
+    """f on the entries of x where ``inside`` holds, 0 elsewhere.
 
     Accepts a scalar or an array and returns the same shape.
     """
     arr = np.asarray(x, dtype=float)
     xv = np.atleast_1d(arr)
-    out = np.full_like(xv, fill)
+    out = np.zeros_like(xv)
     mask = inside(xv)
     out[mask] = f(xv[mask])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -302,13 +305,12 @@ class ParetoSteadyState:
     """Inverse-Gamma price steady state with Pareto tail exponent mu_exp.
 
     Density C1 * s^-(1+mu) * exp(-(mu-1) S_F / s) on s > 0, normalized with
-    C1 = ((mu-1) S_F)^mu / Gamma(mu).  The mean equals S_F for every mu > 1;
-    the CCDF decays like s^-mu.
+    C1 = ((mu-1) S_F)^mu / Gamma(mu), held as its log.  The mean equals S_F
+    for every mu > 1; the CCDF decays like s^-mu.
     """
 
     mu_exp: float
     S_F: float
-    C1: float = field(init=False)
     _log_c1: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -320,7 +322,6 @@ class ParetoSteadyState:
             raise ValueError("fundamental price S_F must be positive")
         log_c1 = self.mu_exp * math.log((self.mu_exp - 1.0) * self.S_F) - math.lgamma(self.mu_exp)
         object.__setattr__(self, "_log_c1", log_c1)
-        object.__setattr__(self, "C1", math.exp(log_c1))
 
     @property
     def scale(self) -> float:
@@ -329,22 +330,6 @@ class ParetoSteadyState:
     def pdf(self, s):
         return _on_support(s, _positive, lambda sp: np.exp(
             self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
-
-    def cdf(self, s):
-        from scipy.special import gammaincc
-        return _on_support(s, _positive,
-                           lambda sp: gammaincc(self.mu_exp, self.scale / sp))
-
-    def ccdf(self, s):
-        from scipy.special import gammainc
-        return _on_support(s, _positive,
-                           lambda sp: gammainc(self.mu_exp, self.scale / sp), 1.0)
-
-    def mean(self) -> float:
-        return self.S_F
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.scale / rng.gamma(self.mu_exp, 1.0, size)
 
 
 def pareto_steady_state(fp_params: FokkerPlanckParams, rho_F: float,
@@ -376,16 +361,14 @@ class PriceCollapse(RuntimeError):
     """Mean price reached zero during integration: crash regime."""
 
 
-def macro_ode_step(state: MacroState, params: ModelParams, dt: float, phi,
-                   h_moments: tuple[float, float] | None = None) -> MacroState:
+def macro_ode_step(state: MacroState, params: ModelParams, dt: float,
+                   phi) -> MacroState:
     """One RK4 step of the coupled (S, Y) mean-value system.
 
     The price equation is dS/dt = beta (rho_C t_C Y S + rho_F gamma_f (S_F - S));
     the trend fed to the value function is evaluated from this right-hand side
     at every stage.  With constant herding the propensity equation closes to
-    dY/dt = alpha2 rho_C (phi(trend) - Y); for a general herding profile pass
-    ``h_moments = (M1, M0)`` with the ensemble moments M1 = integral of H y f
-    and M0 = integral of H f.  Population fractions are held fixed.
+    dY/dt = alpha2 rho_C (phi(trend) - Y).  Population fractions are held fixed.
     """
     rho_C, rho_F = state.rho_C, state.rho_F
 
@@ -393,14 +376,7 @@ def macro_ode_step(state: MacroState, params: ModelParams, dt: float, phi,
         if S <= 0.0:
             raise PriceCollapse(f"price reached S={S} during integration")
         S_dot = params.beta * float(price_drift(params, S, Y, rho_C, rho_F))
-        trend = S_dot / S
-        if h_moments is None:
-            Y_dot = params.alpha2 * rho_C * (float(phi(trend)) - Y)
-        else:
-            m1, m0 = h_moments
-            Y_dot = (-params.alpha1 * m1 - params.alpha2 * rho_C * Y
-                     + params.alpha1 * Y * m0
-                     + params.alpha2 * rho_C * float(phi(trend)))
+        Y_dot = params.alpha2 * rho_C * (float(phi(S_dot / S)) - Y)
         return S_dot, Y_dot
 
     s0, y0 = state.S, state.Y
@@ -416,7 +392,7 @@ def macro_ode_step(state: MacroState, params: ModelParams, dt: float, phi,
 
 
 def solve_macro_ode(state0: MacroState, params: ModelParams, T: float, dt: float,
-                    phi, h_moments: tuple[float, float] | None = None):
+                    phi):
     """Integrate the mean-value system to time T; returns (t, S, Y) arrays."""
     n = int(round(T / dt))
     t = np.linspace(0.0, n * dt, n + 1)
@@ -425,26 +401,27 @@ def solve_macro_ode(state0: MacroState, params: ModelParams, T: float, dt: float
     S[0], Y[0] = state0.S, state0.Y
     state = state0
     for i in range(1, n + 1):
-        state = macro_ode_step(state, params, dt, phi, h_moments)
+        state = macro_ode_step(state, params, dt, phi)
         S[i], Y[i] = state.S, state.Y
     return t, S, Y
 
 
 def classify_equilibrium(rho_F: float, S: float, Y: float, phi,
-                         params: ModelParams, eps: float = 1e-8) -> str:
+                         params: ModelParams) -> str:
     """Match a candidate equilibrium against the three admissible classes.
 
     Returns 'i' (mixed population at the fundamental price), 'ii' (pure
     chartists, undecided, price arbitrary), 'iii' (pure chartists, crashed
     price, propensity locked at the fixed point of phi(beta t_C Y)), or
-    'none'.  Equalities are checked to the absolute tolerance eps; 'iii' is
-    tested before 'ii' since a vanished price is the more specific state.
+    'none'.  Equalities hold to an absolute eps = 1e-8; 'iii' is tested
+    before 'ii' since a vanished price is the more specific state.
 
     The fixed-point residual of case 'iii' is tested at a tolerance widened
     by the value function's own response to an eps-sized propensity: phi may
     have unbounded slope at its reference point, so a bare eps threshold
     would flip the tag under perturbations far smaller than eps.
     """
+    eps = _EQUILIBRIUM_EPS
     phi0 = float(phi(0.0))
     if abs(rho_F) > eps:
         if (abs(S - params.S_F) <= eps and abs(Y) <= eps and abs(phi0) <= eps):
@@ -460,16 +437,17 @@ def classify_equilibrium(rho_F: float, S: float, Y: float, phi,
     return "none"
 
 
-def solve_Y_fixed_point(phi, beta: float, t_C: float, n_grid: int = 10001,
-                        tol: float = 1e-12) -> np.ndarray:
+def solve_Y_fixed_point(phi, beta: float, t_C: float) -> np.ndarray:
     """All roots of Y = phi(beta t_C Y) on [-1, 1].
 
-    Scans a uniform grid for sign changes of g(Y) = phi(beta t_C Y) - Y and
-    bisects each one down to |g| <= tol; exact zeros at grid points are kept
-    as roots directly.  Multiplicity is reported, not resolved: uniqueness
-    depends on the shape of phi and on beta t_C.
+    Scans a uniform grid of 10,001 points for sign changes of
+    g(Y) = phi(beta t_C Y) - Y and bisects each one down to |g| <= 1e-12;
+    zeros at grid points are kept as roots directly.  Multiplicity is
+    reported, not resolved: uniqueness depends on the shape of phi and on
+    beta t_C.
     """
-    grid = np.linspace(-1.0, 1.0, n_grid)
+    tol = _ROOT_TOL
+    grid = np.linspace(-1.0, 1.0, _ROOT_GRID)
 
     def g(yv):
         out = np.asarray(phi(beta * t_C * np.asarray(yv, dtype=float)), dtype=float)

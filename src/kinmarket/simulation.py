@@ -199,7 +199,6 @@ class Trajectory:
     max_abs_y: np.ndarray
     min_price: np.ndarray
     N: int
-    dt: float
     y_final: np.ndarray
     s_final: np.ndarray
     n_rejected: int = 0
@@ -487,7 +486,7 @@ def run(config: SimConfig) -> Trajectory:
     return Trajectory(
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,
         max_abs_y=max_abs_y, min_price=min_price,
-        N=config.N, dt=config.dt,
+        N=config.N,
         y_final=ensemble.y.copy(),
         s_final=prices.samples.copy(),
         n_rejected=n_rejected, n_switches_cf=n_cf, n_switches_fc=n_fc,

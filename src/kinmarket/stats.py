@@ -106,32 +106,31 @@ class HillScan:
     k_values: np.ndarray
     estimates: np.ndarray
     plateau_found: bool
-    estimate: float
 
 
-def hill_plateau(samples, k_min_frac: float = 0.01, k_max_frac: float = 0.10,
-                 n_k: int = 25, spread_tol: float = 0.25) -> HillScan:
+# hill_plateau's number of order counts and its plateau spread bound
+_PLATEAU_N_K = 25
+_PLATEAU_SPREAD = 0.25
+
+
+def hill_plateau(samples, k_min_frac: float = 0.01,
+                 k_max_frac: float = 0.10) -> HillScan:
     """Scan Hill estimates over k in [k_min_frac, k_max_frac] of the sample size.
 
-    A stable plateau (relative spread of the estimates below ``spread_tol``)
+    A stable plateau (relative spread of the estimates at most 0.25)
     indicates a genuine power tail; distributions with lighter tails drift
-    across the scan and report no plateau.  The plateau estimate is the mean
-    over the scan.
+    across the scan and report no plateau.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     ks = np.unique(np.linspace(max(10, int(k_min_frac * n)),
-                               max(11, int(k_max_frac * n)), n_k).astype(int))
+                               max(11, int(k_max_frac * n)),
+                               _PLATEAU_N_K).astype(int))
     estimates = np.array([_hill_sorted(x, int(k)) for k in ks])
     med = float(np.median(estimates))
     spread = float((estimates.max() - estimates.min()) / abs(med)) if med != 0.0 else np.inf
-    found = bool(spread <= spread_tol)
-    return HillScan(
-        k_values=ks,
-        estimates=estimates,
-        plateau_found=found,
-        estimate=float(estimates.mean()) if found else float("nan"),
-    )
+    return HillScan(k_values=ks, estimates=estimates,
+                    plateau_found=bool(spread <= _PLATEAU_SPREAD))
 
 
 # nodes and weights on [-1, 1]; exact for polynomials up to degree 31

@@ -1,5 +1,6 @@
 """Command-line interface: presets, regime tags, outputs, exit codes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ def synthetic_trajectory(S, N=1000):
         t=np.arange(n, dtype=float), S=S, Y=np.zeros(n),
         rho_C=np.full(n, 0.5), rho_F=np.full(n, 0.5), E=S * S,
         n_chartists=np.full(n, N // 2, dtype=np.int64),
-        max_abs_y=np.zeros(n), min_price=S.copy(), N=N, dt=1.0,
+        max_abs_y=np.zeros(n), min_price=S.copy(), N=N,
         y_final=np.zeros(10), s_final=np.full(10, S[-1]),
     )
 
@@ -195,11 +196,24 @@ class TestMainCommand:
         assert "ERROR:config:" in err and "missing required fields" in err
 
     def test_inadmissible_override_exits_one(self, tmp_path, capsys):
-        # test2 at rho_F=0.5 admits zeta2 < 0.885^2/3 ~ 0.261
+        # test2 at rho_F=0.5 admits zeta2 < 0.885^2/3 ~ 0.261; run() refuses
+        # it, and no run directory is left behind
         assert main(["run", "--preset", "test2", "--seed", "1",
                      "--out", str(tmp_path / "x"), "--zeta2", "0.4"]
                     + SMALL) == 1
         assert "ERROR:config:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_inadmissible_opinion_noise_in_a_config_writes_nothing(self, tmp_path,
+                                                                   capsys):
+        # the key passes the config schema; run() refuses the noise
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("sigma2_opinion=0.5\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--config", str(cfg),
+                     "--out", str(out)] + SMALL) == 1
+        assert "ERROR:config:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_list(self, capsys):
         assert main(["preset-list"]) == 0
@@ -410,6 +424,21 @@ class TestNumpyOnly:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "scipy: []"
+
+    def test_src_imports_no_scipy(self):
+        # every import statement of the package, lazy ones inside a function too
+        found = []
+        for path in sorted(Path(kinmarket.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for m in names
+                          if m.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_lognormal_overlay_grid_matches_erfinv(self):
         for m, v in ((2.3, 0.04), (0.0, 1.0), (-1.5, 3e-4)):

@@ -214,7 +214,7 @@ class TestLognormalPrice:
 class TestParetoSteadyState:
     def test_normalization_constant(self):
         ps = ParetoSteadyState(2.0, 20.0)
-        assert ps.C1 == pytest.approx(400.0, rel=1e-12)
+        assert math.exp(ps._log_c1) == pytest.approx(400.0, rel=1e-12)
         for mu in (1.5, 2.0, 3.0, 5.0, 37.5):
             ps = ParetoSteadyState(mu, 20.0)
             assert ps._log_c1 == pytest.approx(
@@ -243,20 +243,6 @@ class TestParetoSteadyState:
         # slope, here 1e-3; the power-law part is -(1+mu)
         assert slope == pytest.approx(-(1.0 + 2.0) + ps.scale / s, abs=1e-6)
         assert slope == pytest.approx(-(1.0 + 2.0), abs=2e-3)
-
-    def test_cdf_matches_pdf_quadrature(self):
-        ps = ParetoSteadyState(3.0, 20.0)
-        for s in (5.0, 20.0, 80.0):
-            num, _ = quad(ps.pdf, 0.0, s, limit=300)
-            assert ps.cdf(s) == pytest.approx(num, abs=1e-8)
-        assert ps.ccdf(20.0) == pytest.approx(1.0 - ps.cdf(20.0), abs=1e-12)
-
-    def test_sampling_tail(self):
-        ps = ParetoSteadyState(2.0, 20.0)
-        x = ps.sample(np.random.default_rng(5), 200000)
-        # empirical CCDF at a deep quantile vs analytic
-        q = np.quantile(x, 0.99)
-        assert ps.ccdf(q) == pytest.approx(0.01, rel=0.15)
 
     def test_from_scaled_params(self):
         fpp = FokkerPlanckParams(0.01, 0.01, 0.02, 0.1, 0.13)
@@ -322,32 +308,6 @@ class TestMacroOde:
         hi = 10.0 * np.exp(0.1 * t) * (1.0 + 1e-9)
         assert np.all(S >= lo) and np.all(S <= hi)
 
-    def test_general_herding_moments_reduce_to_constant_closure(self):
-        # with alpha1 = 0 the supplied-moment form coincides with the
-        # constant-H closure exactly, stage by stage
-        p = ModelParams(alpha1=0.0, alpha2=0.4, beta=0.1, t_C=1.0,
-                        gamma_f=1.0, S_F=20.0)
-        state = MacroState(S=15.0, Y=0.2, rho_C=0.8, rho_F=0.2)
-        a = macro_ode_step(state, p, 0.1, self.phi)
-        b = macro_ode_step(state, p, 0.1, self.phi,
-                           h_moments=(0.8 * 0.2, 0.8))
-        assert a.S == pytest.approx(b.S, rel=1e-14)
-        assert a.Y == pytest.approx(b.Y, rel=1e-14)
-
-    def test_general_herding_moments_converge_with_dt(self):
-        # with alpha1 != 0 the snapshot moments are frozen across RK4 stages,
-        # so the two closures agree only in the small-dt limit for H == 1
-        p = ModelParams(alpha1=0.3, alpha2=0.4, beta=0.1, t_C=1.0,
-                        gamma_f=1.0, S_F=20.0)
-        state = MacroState(S=15.0, Y=0.2, rho_C=0.8, rho_F=0.2)
-        diffs = []
-        for dt in (1e-2, 1e-3):
-            a = macro_ode_step(state, p, dt, self.phi)
-            b = macro_ode_step(state, p, dt, self.phi,
-                               h_moments=(0.8 * 0.2, 0.8))
-            diffs.append(abs(a.Y - b.Y))
-        assert diffs[1] < diffs[0] / 50.0
-
     def test_collapse_detection(self):
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.0, S_F=20.0)
         with pytest.raises(PriceCollapse):
@@ -376,8 +336,7 @@ class TestEquilibriumClassifier:
             ((0.5, 20.0, d, lambda x: 0.1), "none"),
         ]
         for (rho_F, S, Y, phi), expected in cases:
-            assert classify_equilibrium(rho_F, S, Y, phi, self.params,
-                                        eps=eps) == expected
+            assert classify_equilibrium(rho_F, S, Y, phi, self.params) == expected
 
     def test_crash_with_shifted_reference(self):
         # configuration iii stays reachable with phi(0) != 0

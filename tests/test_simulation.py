@@ -802,7 +802,7 @@ class TestBitIdentity:
         runs, got = _terminal_laws(run, cfg, seeds)
         refs, want = _terminal_laws(_reference_run, cfg, seeds)
         for r, ref in zip(runs, refs):
-            assert r["N"] == cfg.N and r["dt"] == cfg.dt
+            assert r["N"] == cfg.N and r["t"][1] == cfg.dt
             assert len(r["S"]) == len(ref["S"]) == cfg.n_iters + 1
             # the initial record precedes every step
             for field in ("S", "Y", "rho_C", "rho_F", "E", "n_chartists",
