@@ -18,14 +18,12 @@ from .model import (
 )
 from .fokker_planck import (
     ChartistEquilibrium,
-    FokkerPlanckParams,
-    MacroState,
     ParetoSteadyState,
     PriceCollapse,
     classify_equilibrium,
     lognormal_price_density,
-    macro_ode_step,
     pareto_steady_state,
+    solve_macro_ode,
     solve_Y_fixed_point,
 )
 from .simulation import (

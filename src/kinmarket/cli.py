@@ -235,6 +235,11 @@ def _lognormal_overlay_grid(m: float, v: float) -> np.ndarray:
     return np.exp(m + np.sqrt(v) * z)
 
 
+# every file a run may write, removed first so none of an earlier run is left
+_OUTPUTS = ("config.txt", "trajectory.csv", "y_samples.txt", "s_samples.txt",
+            "y_hist.csv", "s_hist.csv", "chartist_fp.csv", "lognormal_fp.csv",
+            "pareto_fp.csv", "hill_scan.csv", "summary.txt")
+
 # run totals kept only in summary.txt: summary key -> Trajectory attribute
 _COUNTERS = {"interaction_rejections": "n_rejected",
              "switches_to_fundamentalist": "n_switches_cf",
@@ -286,7 +291,7 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if config.overlay_chartist and y_hist is not None:
-        eq = fp.symmetric_equilibrium(fp.FokkerPlanckParams.from_model(p).kappa)
+        eq = fp.symmetric_equilibrium(p.kappa)
         grid = np.linspace(-1.0, 1.0, 801)
         _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
         summary["kappa"] = eq.kappa
@@ -308,10 +313,9 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
             summary["log_var_fit"] = fit_v
 
     if config.overlay_pareto:
-        fpp = fp.FokkerPlanckParams.from_model(p, config.sim.dt)
         rho_F_term = float(traj.rho_F[-1])
-        if fpp.nu > 0.0 and rho_F_term > 0.0:
-            state = fp.pareto_steady_state(fpp, rho_F_term, p.gamma_f, p.S_F)
+        if p.zeta2_price > 0.0 and rho_F_term > 0.0:
+            state = fp.pareto_steady_state(p, rho_F_term)
             grid = np.geomspace(max(1e-3, float(np.quantile(traj.s_final, 1e-3))),
                                 float(traj.s_final.max()), 801)
             _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
@@ -342,6 +346,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # run first: a configuration the engine refuses must leave no directory
     traj = run(config.sim)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUTS:
+        (out / name).unlink(missing_ok=True)
     _write_keyvalues(out / "config.txt", _config_table(config))
     traj.to_csv(out / "trajectory.csv")
     traj.write_samples(out / "y_samples.txt", out / "s_samples.txt")
@@ -501,7 +507,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"ERROR:config:{exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, NumericsError, fp.PriceCollapse) as exc:
+    except (InvariantViolation, NumericsError) as exc:
         print(f"ERROR:numerical:{exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,11 @@ long-time solutions:
 together with the deterministic mean-value ODE system, an equilibrium
 classifier and the fixed-point solver for the locked mean propensity.
 
+The oracles read ``ModelParams``.  The closed forms a run uses are ratios of
+rates, so the time step, which the limit takes as its scaling parameter,
+cancels out of them: kappa = sigma2_opinion / (alpha1 + alpha2) and the tail
+exponent mu = 1 + 2 beta rho_F gamma_f / zeta2_price.
+
 The opinion density is normalized once, by a trapezoid sum in u = atanh(y)
 taken in log space.  In u the integrand decays double-exponentially, so the
 sum converges geometrically in the node count, and the log form keeps the
@@ -29,15 +34,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .model import (
-    ConfigurationError,
-    ModelParams,
-    NumericsError,
-    price_drift,
-)
+from .model import ModelParams, NumericsError, price_drift
 
 __all__ = [
-    "FokkerPlanckParams",
     "ChartistEquilibrium",
     "symmetric_equilibrium",
     "chartist_stationary_residual",
@@ -46,9 +45,7 @@ __all__ = [
     "lognormal_log_params",
     "ParetoSteadyState",
     "pareto_steady_state",
-    "MacroState",
     "PriceCollapse",
-    "macro_ode_step",
     "solve_macro_ode",
     "classify_equilibrium",
     "solve_Y_fixed_point",
@@ -86,44 +83,6 @@ def _inside_unit(x):
     return np.abs(x) < 1.0
 
 
-@dataclass(frozen=True)
-class FokkerPlanckParams:
-    """Scaled drift-diffusion parameters and the derived ratio kappa.
-
-    The bridge from the interaction-level constants identifies the scaling
-    parameter with the simulation time step: alpha1_t = alpha1/dt,
-    alpha2_t = alpha2/dt, lam = sigma2_opinion/dt, beta_t = beta/dt,
-    nu = zeta2_price/dt.  kappa = lam / (alpha1_t + alpha2_t) is derived,
-    never set, so it is consistent with its components by construction.
-    """
-
-    alpha1_t: float
-    alpha2_t: float
-    lam: float
-    beta_t: float
-    nu: float
-    kappa: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("alpha1_t", "alpha2_t", "lam", "beta_t", "nu"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        denom = self.alpha1_t + self.alpha2_t
-        object.__setattr__(self, "kappa", self.lam / denom if denom > 0.0 else math.nan)
-
-    @classmethod
-    def from_model(cls, params: ModelParams, dt: float = 1.0) -> "FokkerPlanckParams":
-        if dt <= 0.0:
-            raise ConfigurationError("dt must be positive")
-        return cls(
-            alpha1_t=params.alpha1 / dt,
-            alpha2_t=params.alpha2 / dt,
-            lam=params.sigma2_opinion / dt,
-            beta_t=params.beta / dt,
-            nu=params.zeta2_price / dt,
-        )
-
-
 class ChartistEquilibrium:
     """Stationary opinion density for constant herding and D(y) = 1 - y^2.
 
@@ -132,9 +91,9 @@ class ChartistEquilibrium:
         (1+y)^(-2 + Y*/(2 kappa)) (1-y)^(-2 - Y*/(2 kappa))
             * exp(-(1 - Y* y) / (kappa (1 - y^2)))
 
-    with kappa the ratio of scaled noise intensity to total interaction
-    strength.  Normalization to total mass rho_C happens once, at
-    construction; the sampler's rejection bound, at the first draw.
+    with kappa = sigma2_opinion / (alpha1 + alpha2), ``ModelParams.kappa``.
+    Normalization to total mass rho_C happens once, at construction; the
+    sampler's rejection bound, at the first draw.
     Instances are otherwise immutable and safe to share across workers.
     """
 
@@ -237,26 +196,26 @@ def symmetric_equilibrium(kappa: float) -> ChartistEquilibrium:
     return ChartistEquilibrium(0.0, kappa)
 
 
-def chartist_stationary_residual(eq: ChartistEquilibrium, y, alpha_t_sum: float,
-                                 lam: float):
+def chartist_stationary_residual(eq: ChartistEquilibrium, y, alpha_sum: float,
+                                 sigma2: float):
     """Residual of the stationary drift-diffusion equation at points y.
 
-    Evaluates d/dy[(alpha1_t + alpha2_t)(Y* - y) f] minus
-    (lam/2) d^2/dy^2[(1 - y^2)^2 f] with all derivatives taken analytically.
+    Evaluates d/dy[(alpha1 + alpha2)(Y* - y) f] minus
+    (sigma2/2) d^2/dy^2[(1 - y^2)^2 f] with all derivatives taken analytically.
     Zero (to round-off) when f is the equilibrium density and
-    lam / alpha_t_sum equals the kappa the density was built with.
+    sigma2 / alpha_sum equals the kappa the density was built with.
     """
     yv = np.asarray(y, dtype=float)
     f = eq(yv)
     l1, l2 = eq.log_density_derivatives(yv)
     fp = f * l1
     fpp = f * (l2 + l1 * l1)
-    drift_term = alpha_t_sum * (-f + (eq.Y_star - yv) * fp)
+    drift_term = alpha_sum * (-f + (eq.Y_star - yv) * fp)
     one_m_y2 = 1.0 - yv * yv
     d2sq = one_m_y2 * one_m_y2
     d_d2sq = -4.0 * yv * one_m_y2
     d2_d2sq = -4.0 + 12.0 * yv * yv
-    diff_term = 0.5 * lam * (d2_d2sq * f + 2.0 * d_d2sq * fp + d2sq * fpp)
+    diff_term = 0.5 * sigma2 * (d2_d2sq * f + 2.0 * d_d2sq * fp + d2sq * fpp)
     return drift_term - diff_term
 
 
@@ -332,77 +291,57 @@ class ParetoSteadyState:
             self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
 
 
-def pareto_steady_state(fp_params: FokkerPlanckParams, rho_F: float,
-                        gamma_f: float, S_F: float) -> ParetoSteadyState:
+def pareto_steady_state(params: ModelParams, rho_F: float) -> ParetoSteadyState:
     """Steady state of the price equation for a fixed fundamentalist share.
 
-    The tail exponent is mu = 1 + 2 beta_t rho_F gamma_f / nu; requires
-    positive price-noise intensity and a nonvanishing fundamentalist share.
+    The tail exponent is mu = 1 + 2 beta rho_F gamma_f / zeta2_price; requires
+    positive price noise and a nonvanishing fundamentalist share.
     """
-    if fp_params.nu <= 0.0:
-        raise ValueError("price-noise intensity nu must be positive")
+    if params.zeta2_price <= 0.0:
+        raise ValueError("price-noise variance zeta2_price must be positive")
     if rho_F <= 0.0:
         raise ValueError("fundamentalist share rho_F must be positive")
-    mu = 1.0 + 2.0 * fp_params.beta_t * rho_F * gamma_f / fp_params.nu
-    return ParetoSteadyState(mu_exp=mu, S_F=S_F)
-
-
-@dataclass(frozen=True)
-class MacroState:
-    """State of the deterministic mean-value system."""
-
-    S: float
-    Y: float
-    rho_C: float
-    rho_F: float
+    mu = 1.0 + 2.0 * params.beta * rho_F * params.gamma_f / params.zeta2_price
+    return ParetoSteadyState(mu_exp=mu, S_F=params.S_F)
 
 
 class PriceCollapse(RuntimeError):
     """Mean price reached zero during integration: crash regime."""
 
 
-def macro_ode_step(state: MacroState, params: ModelParams, dt: float,
-                   phi) -> MacroState:
-    """One RK4 step of the coupled (S, Y) mean-value system.
+def solve_macro_ode(S0: float, Y0: float, rho_C: float, params: ModelParams,
+                    T: float, dt: float, phi):
+    """Integrate the mean-value system by RK4 to time T; returns (t, S, Y) arrays.
 
-    The price equation is dS/dt = beta (rho_C t_C Y S + rho_F gamma_f (S_F - S));
-    the trend fed to the value function is evaluated from this right-hand side
-    at every stage.  With constant herding the propensity equation closes to
-    dY/dt = alpha2 rho_C (phi(trend) - Y).  Population fractions are held fixed.
+    The price equation is dS/dt = beta (rho_C t_C Y S + rho_F gamma_f (S_F - S))
+    with rho_F = 1 - rho_C; the trend fed to the value function is evaluated
+    from this right-hand side at every stage.  With constant herding the
+    propensity equation closes to dY/dt = alpha2 rho_C (phi(trend) - Y).
+    Population fractions are held fixed.
     """
-    rho_C, rho_F = state.rho_C, state.rho_F
+    rho_F = 1.0 - rho_C
 
     def deriv(S: float, Y: float) -> tuple[float, float]:
         if S <= 0.0:
             raise PriceCollapse(f"price reached S={S} during integration")
         S_dot = params.beta * float(price_drift(params, S, Y, rho_C, rho_F))
-        Y_dot = params.alpha2 * rho_C * (float(phi(S_dot / S)) - Y)
-        return S_dot, Y_dot
+        return S_dot, params.alpha2 * rho_C * (float(phi(S_dot / S)) - Y)
 
-    s0, y0 = state.S, state.Y
-    k1s, k1y = deriv(s0, y0)
-    k2s, k2y = deriv(s0 + 0.5 * dt * k1s, y0 + 0.5 * dt * k1y)
-    k3s, k3y = deriv(s0 + 0.5 * dt * k2s, y0 + 0.5 * dt * k2y)
-    k4s, k4y = deriv(s0 + dt * k3s, y0 + dt * k3y)
-    s1 = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    y1 = y0 + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    if s1 <= 0.0:
-        raise PriceCollapse(f"price reached S={s1} after one step")
-    return MacroState(S=s1, Y=y1, rho_C=rho_C, rho_F=rho_F)
-
-
-def solve_macro_ode(state0: MacroState, params: ModelParams, T: float, dt: float,
-                    phi):
-    """Integrate the mean-value system to time T; returns (t, S, Y) arrays."""
     n = int(round(T / dt))
     t = np.linspace(0.0, n * dt, n + 1)
-    S = np.empty(n + 1)
-    Y = np.empty(n + 1)
-    S[0], Y[0] = state0.S, state0.Y
-    state = state0
+    S, Y = np.empty((2, n + 1))
+    s, y = float(S0), float(Y0)
+    S[0], Y[0] = s, y
     for i in range(1, n + 1):
-        state = macro_ode_step(state, params, dt, phi)
-        S[i], Y[i] = state.S, state.Y
+        k1s, k1y = deriv(s, y)
+        k2s, k2y = deriv(s + 0.5 * dt * k1s, y + 0.5 * dt * k1y)
+        k3s, k3y = deriv(s + 0.5 * dt * k2s, y + 0.5 * dt * k2y)
+        k4s, k4y = deriv(s + dt * k3s, y + dt * k3y)
+        s = s + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        if s <= 0.0:
+            raise PriceCollapse(f"price reached S={s} after one step")
+        S[i], Y[i] = s, y
     return t, S, Y
 
 

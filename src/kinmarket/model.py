@@ -15,7 +15,7 @@ at construction of the parameter records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class InvariantViolation(RuntimeError):
     """A state invariant that should be unreachable was violated."""
 
 
+def check_finite(record) -> None:
+    """Reject a nan or infinite float field: a nan passes every ``x < 0`` check."""
+    for f in fields(record):
+        if f.init and f.type == "float" and not math.isfinite(v := getattr(record, f.name)):
+            raise ConfigurationError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All market and behavioral constants, validated once.
@@ -84,6 +91,7 @@ class ModelParams:
     r_return: float = field(init=False)  # derived: dividend / S_F
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (0.0 <= self.alpha1 <= 1.0 and 0.0 <= self.alpha2 <= 1.0):
             raise ConfigurationError("alpha1 and alpha2 must lie in [0, 1]")
         if self.alpha1 + self.alpha2 > 1.0:
@@ -118,6 +126,12 @@ class ModelParams:
             )
         object.__setattr__(self, "r_return", self.dividend / self.S_F)
 
+    @property
+    def kappa(self) -> float:
+        """sigma2_opinion / (alpha1 + alpha2); nan when alpha1 + alpha2 = 0."""
+        denom = self.alpha1 + self.alpha2
+        return self.sigma2_opinion / denom if denom > 0.0 else math.nan
+
 
 @dataclass(frozen=True)
 class ValueFunctionSpec:
@@ -135,6 +149,7 @@ class ValueFunctionSpec:
     l_exp: float = 0.25
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.L <= 0.0:
             raise ConfigurationError("value-function half-width L must be positive")
         if not (-self.L < self.R0 < self.L):

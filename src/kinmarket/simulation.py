@@ -42,6 +42,7 @@ from .model import (
     ModelParams,
     ValueFunctionSpec,
     chartist_profit,
+    check_finite,
     diffusion,
     fundamentalist_profit,
     herding,
@@ -124,12 +125,11 @@ def _init_law(init: str, params: ModelParams) -> InitLaw:
     if init in _NAMED_INITS:
         return _NAMED_INITS[init]
     if init == "equilibrium":
-        kappa = fp.FokkerPlanckParams.from_model(params).kappa
-        return fp.symmetric_equilibrium(kappa).sample
+        return fp.symmetric_equilibrium(params.kappa).sample
     if isinstance(init, str) and init.startswith("constant:"):
         v = float(init.split(":", 1)[1])
-        if abs(v) > 1.0:
-            raise ConfigurationError("constant initial propensity must lie in [-1, 1]")
+        if not abs(v) <= 1.0:
+            raise ConfigurationError(f"chartist_init={init}: the constant must lie in [-1, 1]")
         return lambda rng, n: np.full(n, v)
     raise ConfigurationError(f"unknown chartist_init {init!r}")
 
@@ -167,6 +167,7 @@ class SimConfig:
     pin_mean: bool = False
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.N < 1 or self.N_s < 1:
             raise ConfigurationError("ensemble sizes must be positive")
         if self.dt <= 0.0:

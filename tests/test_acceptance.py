@@ -117,8 +117,7 @@ def test_criterion_3_pareto_tail(test2_traj):
     cfg = preset("test2")
     p = cfg.sim.params
     rho_F = 1.0 - cfg.sim.rho_C0
-    state = fp.pareto_steady_state(
-        fp.FokkerPlanckParams.from_model(p, cfg.sim.dt), rho_F, p.gamma_f, p.S_F)
+    state = fp.pareto_steady_state(p, rho_F)
     mu = state.mu_exp
     scan = stats.hill_plateau(test2_traj.s_final, k_min_frac=0.02,
                               k_max_frac=0.08)
@@ -302,15 +301,14 @@ def test_criterion_7_deterministic_skeleton():
     # pure fundamentalists: exponential relaxation to the fundamental price
     p = ModelParams(beta=0.1, gamma_f=1.0, t_C=1.0, S_F=20.0)
     phi = ValueFunctionSpec()
-    state = fp.MacroState(S=10.0, Y=0.0, rho_C=0.0, rho_F=1.0)
     exact = 20.0 - 10.0 * math.exp(-1.0)
-    _, S, _ = fp.solve_macro_ode(state, p, T=10.0, dt=0.01, phi=phi)
+    _, S, _ = fp.solve_macro_ode(10.0, 0.0, 0.0, p, T=10.0, dt=0.01, phi=phi)
     relax_err = abs(S[-1] - exact) / exact
     ok_relax = relax_err < 1e-10
 
     errs = []
     for dt in (0.5, 0.25):
-        _, S, _ = fp.solve_macro_ode(state, p, T=10.0, dt=dt, phi=phi)
+        _, S, _ = fp.solve_macro_ode(10.0, 0.0, 0.0, p, T=10.0, dt=dt, phi=phi)
         errs.append(abs(S[-1] - exact))
     ratio = errs[0] / errs[1]
     ok_order = 12.0 < ratio < 20.0
@@ -318,12 +316,11 @@ def test_criterion_7_deterministic_skeleton():
 
     # pure chartists: the boom envelope S0 e^(+-beta t_C t), plus exact
     # exponential growth when the propensity is locked at 1
-    state = fp.MacroState(S=10.0, Y=0.6, rho_C=1.0, rho_F=0.0)
-    t, S, _ = fp.solve_macro_ode(state, p, T=30.0, dt=0.05, phi=phi)
+    t, S, _ = fp.solve_macro_ode(10.0, 0.6, 1.0, p, T=30.0, dt=0.05, phi=phi)
     ok_env = bool(np.all(S <= 10.0 * np.exp(0.1 * t) * (1 + 1e-9))
                   and np.all(S >= 10.0 * np.exp(-0.1 * t) * (1 - 1e-9)))
-    _, S, _ = fp.solve_macro_ode(fp.MacroState(10.0, 1.0, 1.0, 0.0), p,
-                                 T=20.0, dt=0.01, phi=lambda x: 1.0)
+    _, S, _ = fp.solve_macro_ode(10.0, 1.0, 1.0, p, T=20.0, dt=0.01,
+                                 phi=lambda x: 1.0)
     boom_err = abs(S[-1] - 10.0 * math.exp(2.0)) / (10.0 * math.exp(2.0))
     ok_boom = boom_err < 1e-9
     details.append(f"envelope {'held' if ok_env else 'violated'}, "

@@ -1,6 +1,7 @@
 """Command-line interface: presets, regime tags, outputs, exit codes."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -214,6 +215,61 @@ class TestMainCommand:
                      "--out", str(out)] + SMALL) == 1
         assert "ERROR:config:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("beta=nan", "beta"), ("zeta2_price=nan", "zeta2_price"),
+        ("chartist_init=constant:nan", "chartist_init"), ("dt=nan", "dt"),
+        ("S0=inf", "S0"), ("L=-inf", "L")])
+    def test_non_finite_config_value_exits_one_before_writing(
+            self, tmp_path, capsys, line, key):
+        # a nan fails every ordered comparison, so `if x < 0: raise` lets it
+        # through: unchecked, the run goes ahead and writes nan files
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--config", str(cfg),
+                     "--out", str(out), "--n-agents", "200",
+                     "--n-price-samples", "200", "--iters", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:config:{key}"), err
+        assert not out.exists()
+
+    def test_reused_out_keeps_no_stale_outputs(self, tmp_path):
+        # test1 writes overlays that test3a does not: a test3a run into
+        # test1's directory must leave what it leaves in a fresh one, and
+        # keep files that are not a run's outputs
+        small = ["--n-agents", "400", "--n-price-samples", "400",
+                 "--iters", "30"]
+        out, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["run", "--preset", "test1", "--seed", "1",
+                     "--out", str(out)] + small) == 0
+        assert (out / "chartist_fp.csv").exists()
+        (out / "notes.txt").write_text("kept\n")
+        for d in (out, fresh, out):
+            assert main(["run", "--preset", "test3a", "--seed", "1",
+                         "--out", str(d)] + small) == 0
+        assert not (out / "chartist_fp.csv").exists()
+        assert not (out / "lognormal_fp.csv").exists()
+        assert (out / "notes.txt").read_text() == "kept\n"
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["notes.txt"])
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_test2_tail_exponent_does_not_depend_on_dt(self, tmp_path):
+        # mu = 1 + 2 beta rho_F gamma_f / zeta2 is a ratio of rates: the
+        # time step cancels out of it
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("dt=0.5\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "2", "--config",
+                     str(cfg), "--out", str(out)] + SMALL) == 0
+        summary = _keyvalues((out / "summary.txt").read_text())
+        p = preset("test2").sim.params
+        rho_F = float(summary["terminal_rho_F"])
+        assert rho_F == 0.5
+        assert float(summary["mu_exp"]) == \
+            1.0 + 2.0 * p.beta * rho_F * p.gamma_f / p.zeta2_price
 
     def test_preset_list(self, capsys):
         assert main(["preset-list"]) == 0
@@ -447,6 +503,29 @@ class TestNumpyOnly:
             grid = _lognormal_overlay_grid(m, v)
             assert grid.shape == (801,)
             assert np.max(np.abs(grid / old - 1.0)) <= 1e-13
+
+
+class TestPublicNames:
+    package = Path(kinmarket.__file__).parent
+
+    @pytest.mark.parametrize("module", sorted(
+        p.stem for p in package.glob("*.py") if p.stem != "__init__"))
+    def test_every_name_in_all_resolves(self, module):
+        # `import *` raises AttributeError on a listed name that is gone
+        namespace: dict = {}
+        exec(f"from kinmarket.{module} import *", namespace)
+        assert set(importlib.import_module(f"kinmarket.{module}").__all__) \
+            <= namespace.keys()
+
+    def test_package_reexports_only_public_names(self):
+        tree = ast.parse((self.package / "__init__.py").read_text())
+        imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+        assert imports
+        for node in imports:
+            module = importlib.import_module(f"kinmarket.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+                assert getattr(kinmarket, alias.name) is getattr(module, alias.name)
 
 
 class TestConfigFile:

@@ -9,44 +9,17 @@ from scipy.special import gammaln, ndtr
 
 from kinmarket.fokker_planck import (
     ChartistEquilibrium,
-    FokkerPlanckParams,
-    MacroState,
     ParetoSteadyState,
     PriceCollapse,
     chartist_stationary_residual,
     classify_equilibrium,
     lognormal_price_cdf,
     lognormal_price_density,
-    macro_ode_step,
     pareto_steady_state,
     solve_macro_ode,
     solve_Y_fixed_point,
 )
 from kinmarket.model import ModelParams, NumericsError, ValueFunctionSpec
-
-
-class TestFokkerPlanckParams:
-    def test_bridge_from_model(self):
-        p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02,
-                        beta=0.1, zeta2_price=0.13)
-        fpp = FokkerPlanckParams.from_model(p, dt=1.0)
-        assert fpp.alpha1_t == 0.01
-        assert fpp.lam == 0.02
-        assert fpp.beta_t == 0.1
-        assert fpp.nu == 0.13
-        assert fpp.kappa == pytest.approx(1.0, rel=1e-15)
-
-    def test_bridge_scales_with_dt(self):
-        p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02, beta=0.1)
-        fpp = FokkerPlanckParams.from_model(p, dt=0.1)
-        assert fpp.alpha1_t == pytest.approx(0.1)
-        assert fpp.lam == pytest.approx(0.2)
-        # kappa is a ratio of same-scaled quantities: dt cancels
-        assert fpp.kappa == pytest.approx(1.0, rel=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(Exception):
-            FokkerPlanckParams(-0.1, 0.1, 0.1, 0.1, 0.1)
 
 
 class TestChartistEquilibrium:
@@ -244,20 +217,19 @@ class TestParetoSteadyState:
         assert slope == pytest.approx(-(1.0 + 2.0) + ps.scale / s, abs=1e-6)
         assert slope == pytest.approx(-(1.0 + 2.0), abs=2e-3)
 
-    def test_from_scaled_params(self):
-        fpp = FokkerPlanckParams(0.01, 0.01, 0.02, 0.1, 0.13)
-        ps = pareto_steady_state(fpp, 0.5, 1.3, 20.0)
+    def test_from_model_params(self):
+        p = ModelParams(beta=0.1, zeta2_price=0.13, gamma_f=1.3, S_F=20.0)
+        ps = pareto_steady_state(p, 0.5)
         assert ps.mu_exp == pytest.approx(2.0, rel=1e-12)
+        assert ps.S_F == 20.0
 
     def test_invalid_regimes_rejected(self):
         with pytest.raises(ValueError):
             ParetoSteadyState(1.0, 20.0)
         with pytest.raises(ValueError):
-            pareto_steady_state(FokkerPlanckParams(0.01, 0.01, 0.02, 0.1, 0.0),
-                                0.5, 1.3, 20.0)
+            pareto_steady_state(ModelParams(beta=0.1, zeta2_price=0.0), 0.5)
         with pytest.raises(ValueError):
-            pareto_steady_state(FokkerPlanckParams(0.01, 0.01, 0.02, 0.1, 0.13),
-                                0.0, 1.3, 20.0)
+            pareto_steady_state(ModelParams(beta=0.1, zeta2_price=0.13), 0.0)
 
 
 class TestMacroOde:
@@ -266,35 +238,32 @@ class TestMacroOde:
     def test_pure_fundamentalist_relaxation(self):
         # closed form S(t) = S_F + (S0-S_F) e^(-beta gamma_f t)
         p = ModelParams(beta=0.1, gamma_f=1.0, t_C=1.0, S_F=20.0)
-        state = MacroState(S=10.0, Y=0.0, rho_C=0.0, rho_F=1.0)
-        _, S, _ = solve_macro_ode(state, p, T=10.0, dt=0.01, phi=self.phi)
+        _, S, _ = solve_macro_ode(10.0, 0.0, 0.0, p, T=10.0, dt=0.01, phi=self.phi)
         exact = 20.0 - 10.0 * math.exp(-1.0)
         assert exact == pytest.approx(16.321205588285577, rel=1e-15)
         assert S[-1] == pytest.approx(exact, rel=1e-10)
 
     def test_rk4_order_four(self):
         p = ModelParams(beta=0.1, gamma_f=1.0, t_C=1.0, S_F=20.0)
-        state = MacroState(S=10.0, Y=0.0, rho_C=0.0, rho_F=1.0)
         exact = 20.0 - 10.0 * math.exp(-1.0)
         errs = []
         for dt in (0.5, 0.25):
-            _, S, _ = solve_macro_ode(state, p, T=10.0, dt=dt, phi=self.phi)
+            _, S, _ = solve_macro_ode(10.0, 0.0, 0.0, p, T=10.0, dt=dt, phi=self.phi)
             errs.append(abs(S[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
     def test_fixed_point_is_stationary(self):
         p = ModelParams(beta=0.1, gamma_f=1.3, t_C=1.0, S_F=20.0)
-        state = MacroState(S=20.0, Y=0.0, rho_C=0.5, rho_F=0.5)
-        nxt = macro_ode_step(state, p, 0.1, self.phi)
-        assert nxt.S == pytest.approx(20.0, abs=1e-14)
-        assert nxt.Y == pytest.approx(0.0, abs=1e-14)
+        _, S, Y = solve_macro_ode(20.0, 0.0, 0.5, p, T=0.1, dt=0.1, phi=self.phi)
+        assert S.size == 2
+        assert S[-1] == pytest.approx(20.0, abs=1e-14)
+        assert Y[-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_boom_growth_with_locked_propensity(self):
         # Y pinned at 1 by phi==1: exponential growth at rate beta*t_C
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.0, S_F=20.0)
-        state = MacroState(S=10.0, Y=1.0, rho_C=1.0, rho_F=0.0)
-        t, S, Y = solve_macro_ode(state, p, T=20.0, dt=0.01,
+        t, S, Y = solve_macro_ode(10.0, 1.0, 1.0, p, T=20.0, dt=0.01,
                                   phi=lambda x: 1.0)
         assert np.allclose(Y, 1.0)
         assert S[-1] == pytest.approx(10.0 * math.exp(0.1 * 20.0), rel=1e-9)
@@ -302,8 +271,7 @@ class TestMacroOde:
     def test_boom_crash_envelope(self):
         # |Y| <= 1 forces S0 e^(-beta t_C t) <= S <= S0 e^(beta t_C t)
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.0, S_F=20.0)
-        state = MacroState(S=10.0, Y=-0.4, rho_C=1.0, rho_F=0.0)
-        t, S, _ = solve_macro_ode(state, p, T=30.0, dt=0.05, phi=self.phi)
+        t, S, _ = solve_macro_ode(10.0, -0.4, 1.0, p, T=30.0, dt=0.05, phi=self.phi)
         lo = 10.0 * np.exp(-0.1 * t) * (1.0 - 1e-9)
         hi = 10.0 * np.exp(0.1 * t) * (1.0 + 1e-9)
         assert np.all(S >= lo) and np.all(S <= hi)
@@ -311,8 +279,7 @@ class TestMacroOde:
     def test_collapse_detection(self):
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.0, S_F=20.0)
         with pytest.raises(PriceCollapse):
-            macro_ode_step(MacroState(S=-1.0, Y=0.0, rho_C=1.0, rho_F=0.0),
-                           p, 0.1, self.phi)
+            solve_macro_ode(-1.0, 0.0, 1.0, p, T=0.1, dt=0.1, phi=self.phi)
 
 
 class TestEquilibriumClassifier:

@@ -1,6 +1,7 @@
 """Behavioral functions: value-of-trend, herding, diffusion, profits, rates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestValueFunction:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ValueFunctionSpec(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ValueFunctionSpec)])
+    def test_non_finite_spec_rejected(self, name, bad):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+            ValueFunctionSpec(**{name: bad})
 
     def test_spec_is_callable(self):
         assert self.spec(0.25) == value_function(self.spec, 0.25)
@@ -226,6 +233,22 @@ class TestModelParamsValidation:
     def test_r_return_derived(self):
         p = ModelParams(dividend=0.004, S_F=20.0)
         assert p.r_return == 0.004 / 20.0
+
+    def test_kappa_derived(self):
+        # the test1 parameters: bit for bit the ratio, 0.02 / 0.02
+        p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02)
+        assert p.kappa == 0.02 / (0.01 + 0.01)
+        assert p.kappa == 1.0
+
+    def test_kappa_nan_without_interaction(self):
+        assert math.isnan(ModelParams(alpha1=0.0, alpha2=0.0).kappa)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams) if f.init])
+    def test_non_finite_params_rejected(self, name, bad):
+        # a nan passes every `x < 0` check: it must be refused by name
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+            ModelParams(**{name: bad})
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha1=0.6, alpha2=0.6),
