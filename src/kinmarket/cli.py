@@ -8,9 +8,13 @@ analyze      recompute statistics and overlays from a finished run directory
 
 Every run writes to its output directory: ``trajectory.csv`` (per-iteration
 statistics), ``y_samples.txt`` / ``s_samples.txt`` (terminal sample sets, one
-value per line), ``y_hist.csv`` / ``s_hist.csv``, optional analytic overlay
-tabulations (two-column CSV), ``config.txt`` (the fully resolved key=value
-configuration, reusable via --config), and ``summary.txt`` (key=value report).
+value per line), ``y_hist.csv`` / ``s_hist.csv``, ``config.txt`` (the fully
+resolved key=value configuration, reusable via --config), and ``summary.txt``
+(key=value report).  The analytic overlays (two-column CSV) follow from the
+populations: with switching off, a market of chartists alone gets
+``chartist_fp.csv`` (opinion equilibrium) and ``lognormal_fp.csv`` (price),
+and one with fundamentalists gets ``pareto_fp.csv`` and ``hill_scan.csv``
+(fat price tail) and a 200-bin price histogram; a switching run gets none.
 All randomness is controlled by the seed (--seed, else the config file's, else
 0); two runs with identical flags produce identical files.
 
@@ -52,8 +56,6 @@ _TEST3_COMMON = dict(
     L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
     N=50000, N_s=50000, dt=1.0, n_iters=2000, enable_switching=True,
     S0=20.0, rho_C0=0.5, chartist_init="symmetric_uniform", pin_mean=False,
-    overlay_chartist=False, overlay_lognormal=False, overlay_pareto=False,
-    hill_k_frac=0.05, bins_y=100, bins_s=100,
 )
 
 PRESETS: dict[str, dict] = {
@@ -67,8 +69,6 @@ PRESETS: dict[str, dict] = {
         L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
         N=50000, N_s=50000, dt=1.0, n_iters=1500, enable_switching=False,
         S0=10.0, rho_C0=1.0, chartist_init="symmetric_uniform", pin_mean=True,
-        overlay_chartist=True, overlay_lognormal=True, overlay_pareto=False,
-        hill_k_frac=0.05, bins_y=100, bins_s=100,
     ),
     # balanced fixed populations around the fundamental price: the price law
     # relaxes to the fat-tailed steady state
@@ -80,8 +80,6 @@ PRESETS: dict[str, dict] = {
         L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
         N=50000, N_s=50000, dt=1.0, n_iters=1000, enable_switching=False,
         S0=20.0, rho_C0=0.5, chartist_init="equilibrium", pin_mean=True,
-        overlay_chartist=False, overlay_lognormal=False, overlay_pareto=True,
-        hill_k_frac=0.05, bins_y=100, bins_s=200,
     ),
     "test3a": dict(_TEST3_COMMON, alpha1=0.2, alpha2=0.55),
     "test3b": dict(_TEST3_COMMON, alpha1=0.2, alpha2=0.7),
@@ -91,17 +89,10 @@ PRESETS: dict[str, dict] = {
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment: simulation config plus analysis settings."""
+    """Fully resolved experiment: the preset's name and its simulation config."""
 
     preset: str
-    out_dir: Path | None
     sim: SimConfig
-    overlay_chartist: bool
-    overlay_lognormal: bool
-    overlay_pareto: bool
-    hill_k_frac: float
-    bins_y: int
-    bins_s: int
 
 
 def _fields(cls, skip=()) -> dict:
@@ -112,20 +103,19 @@ def _fields(cls, skip=()) -> dict:
 _PARAM_FIELDS = _fields(ModelParams)
 _VALUE_FIELDS = _fields(ValueFunctionSpec)
 _SIM_FIELDS = _fields(SimConfig, skip=("params", "value_spec"))
-_ANALYSIS_FIELDS = _fields(ExperimentConfig, skip=("preset", "out_dir", "sim"))
 # every config key with its type, in config.txt order but for "preset"
-_SCHEMA = {**_PARAM_FIELDS, **_VALUE_FIELDS, **_SIM_FIELDS, **_ANALYSIS_FIELDS}
+_SCHEMA = {**_PARAM_FIELDS, **_VALUE_FIELDS, **_SIM_FIELDS}
 REQUIRED_KEYS = tuple(k for k in _SCHEMA if k != "seed")
 # keys of older versions that still load, and do nothing
-_RETIRED_KEYS = ("n_streams",)
+_RETIRED_KEYS = ("n_streams", "overlay_chartist", "overlay_lognormal",
+                 "overlay_pareto", "hill_k_frac", "bins_y", "bins_s")
 
 
 def preset_names() -> list[str]:
     return list(PRESETS) + ["custom"]
 
 
-def preset(name: str, overrides: dict | None = None,
-           out_dir=None) -> ExperimentConfig:
+def preset(name: str, overrides: dict | None = None) -> ExperimentConfig:
     """Build a complete experiment configuration from a named preset.
 
     ``custom`` starts from an empty table and therefore requires every field
@@ -153,10 +143,7 @@ def preset(name: str, overrides: dict | None = None,
     value_spec = ValueFunctionSpec(**{k: table[k] for k in _VALUE_FIELDS})
     sim = {k: table[k] for k in _SIM_FIELDS if k in table}  # seed may be absent
     return ExperimentConfig(
-        preset=name, out_dir=Path(out_dir) if out_dir else None,
-        sim=SimConfig(params=params, value_spec=value_spec, **sim),
-        **{k: table[k] for k in _ANALYSIS_FIELDS},
-    )
+        preset=name, sim=SimConfig(params=params, value_spec=value_spec, **sim))
 
 
 def classify_regime(traj: Trajectory, S_F: float) -> str:
@@ -217,7 +204,6 @@ def _config_table(config: ExperimentConfig) -> dict:
     table.update({k: getattr(s.value_spec, k) for k in _VALUE_FIELDS})
     table.update({k: getattr(s, k) for k in _SIM_FIELDS})
     table["preset"] = config.preset
-    table.update({k: getattr(config, k) for k in _ANALYSIS_FIELDS})
     return table
 
 
@@ -252,7 +238,8 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
 
     ``traj`` needs the columns S, Y, rho_C, rho_F and E and the terminal
     samples y_final and s_final.  ``counters`` holds the run totals for the
-    summary; a key missing from it is left out.
+    summary; a key missing from it is left out.  Which closed form the run
+    is compared with follows from its populations (see the module docstring).
     """
     p = config.sim.params
     N = config.sim.N
@@ -278,26 +265,28 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
                                          & (n_chartists / N == traj.rho_C))),
     }
 
+    fixed = not config.sim.enable_switching
+    rho_F = float(traj.rho_F[-1])
     if traj.y_final.size:
-        y_hist = stats.Histogram.from_samples(traj.y_final, bins=config.bins_y,
+        y_hist = stats.Histogram.from_samples(traj.y_final, bins=100,
                                               range=(-1.0, 1.0))
         y_hist.to_csv(out / "y_hist.csv")
     else:
         y_hist = None
-    s_hist = stats.Histogram.from_samples(traj.s_final, bins=config.bins_s)
+    s_hist = stats.Histogram.from_samples(
+        traj.s_final, bins=200 if fixed and rho_F > 0.0 else 100)
     s_hist.to_csv(out / "s_hist.csv")
 
     if traj.S.size >= 200:
         summary["regime"] = classify_regime(traj, p.S_F)
 
-    if config.overlay_chartist and y_hist is not None:
-        eq = fp.symmetric_equilibrium(p.kappa)
-        grid = np.linspace(-1.0, 1.0, 801)
-        _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
-        summary["kappa"] = eq.kappa
-        summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
-
-    if config.overlay_lognormal:
+    if fixed and rho_F == 0.0:
+        if y_hist is not None:
+            eq = fp.symmetric_equilibrium(p.kappa)
+            grid = np.linspace(-1.0, 1.0, 801)
+            _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
+            summary["kappa"] = eq.kappa
+            summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
         E_T = float(traj.E[-1])
         S_ref = config.sim.S0
         if E_T > S_ref * S_ref:
@@ -312,37 +301,33 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
             summary["log_mean_fit"] = fit_m
             summary["log_var_fit"] = fit_v
 
-    if config.overlay_pareto:
-        rho_F_term = float(traj.rho_F[-1])
-        if p.zeta2_price > 0.0 and rho_F_term > 0.0:
-            state = fp.pareto_steady_state(p, rho_F_term)
-            grid = np.geomspace(max(1e-3, float(np.quantile(traj.s_final, 1e-3))),
-                                float(traj.s_final.max()), 801)
-            _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
-            summary["mu_exp"] = state.mu_exp
-            # diagnostic plateau scan over k in [1%, 10%] of the sample size
-            scan = stats.hill_plateau(traj.s_final)
-            with open(out / "hill_scan.csv", "w") as fh:
-                fh.write("k,estimate\n")
-                for k, est in zip(scan.k_values, scan.estimates):
-                    fh.write(f"{int(k)},{est:.17g}\n")
-            summary["hill_plateau_found"] = scan.plateau_found
-            summary["hill_plateau_mean"] = float(scan.estimates.mean())
-            k_default = int(config.hill_k_frac * traj.s_final.size)
-            summary["hill_k"] = k_default
-            summary["hill_estimate"] = stats.hill_tail_index(traj.s_final, k_default)
-            summary["price_mean"] = float(traj.s_final.mean())
-            summary["price_mean_rel_err"] = abs(summary["price_mean"] - p.S_F) / p.S_F
+    if fixed and rho_F > 0.0 and p.zeta2_price > 0.0:
+        state = fp.pareto_steady_state(p, rho_F)
+        grid = np.geomspace(max(1e-3, float(np.quantile(traj.s_final, 1e-3))),
+                            float(traj.s_final.max()), 801)
+        _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
+        summary["mu_exp"] = state.mu_exp
+        # diagnostic plateau scan over k in [1%, 10%] of the sample size
+        scan = stats.hill_plateau(traj.s_final)
+        with open(out / "hill_scan.csv", "w") as fh:
+            fh.write("k,estimate\n")
+            for k, est in zip(scan.k_values, scan.estimates):
+                fh.write(f"{int(k)},{est:.17g}\n")
+        summary["hill_plateau_found"] = scan.plateau_found
+        summary["hill_plateau_mean"] = float(scan.estimates.mean())
+        k_default = int(0.05 * traj.s_final.size)
+        summary["hill_k"] = k_default
+        summary["hill_estimate"] = stats.hill_tail_index(traj.s_final, k_default)
+        summary["price_mean"] = float(traj.s_final.mean())
+        summary["price_mean_rel_err"] = abs(summary["price_mean"] - p.S_F) / p.S_F
 
     _write_keyvalues(out / "summary.txt", summary)
     return summary
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute a configured experiment, write all outputs, return the summary."""
-    out = config.out_dir
-    if out is None:
-        raise ConfigurationError("an output directory is required (--out)")
+def run_experiment(config: ExperimentConfig, out: Path) -> dict:
+    """Execute a configured experiment, write all outputs to ``out``, return
+    the summary."""
     # run first: a configuration the engine refuses must leave no directory
     traj = run(config.sim)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,7 +352,7 @@ def _parse_value(key: str, raw: str):
             return True
         if raw.lower() in ("false", "0", "off", "no"):
             return False
-        raise ConfigurationError(f"cannot parse boolean {key}={raw!r}")
+        raise ValueError(raw)
     if kind == "int":
         return int(raw)
     if kind == "float":
@@ -394,7 +379,11 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key == "out":
             continue
-        table[key] = _parse_value(key, raw)
+        try:
+            table[key] = _parse_value(key, raw)
+        except ValueError:
+            raise ConfigurationError(f"{key}: cannot read {raw.strip()!r} as "
+                                     f"{_SCHEMA[key]} ({p}:{ln})") from None
     return table
 
 
@@ -443,8 +432,7 @@ def _cmd_run(args) -> int:
                        ("pin_mean", pin_mean), ("seed", args.seed)):
         if value is not None:
             overrides[key] = value
-    config = preset(args.preset, overrides, out_dir=args.out)
-    summary = run_experiment(config)
+    summary = run_experiment(preset(args.preset, overrides), Path(args.out))
     for k, v in summary.items():
         print(f"{k}={_fmt(v)}")
     return 0
@@ -469,7 +457,7 @@ def _cmd_analyze(args) -> int:
     if not cfg_path.exists():
         raise ConfigurationError(f"{out} does not contain a config.txt")
     table = load_config_file(cfg_path)
-    config = preset(table.pop("preset", "custom"), table, out_dir=out)
+    config = preset(table.pop("preset", "custom"), table)
     y = np.loadtxt(out / "y_samples.txt", ndmin=1)
     s = np.loadtxt(out / "s_samples.txt", ndmin=1)
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -504,7 +492,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse errors already printed with prefix
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print(f"ERROR:config:{exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, NumericsError) as exc:

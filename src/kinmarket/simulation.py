@@ -127,7 +127,10 @@ def _init_law(init: str, params: ModelParams) -> InitLaw:
     if init == "equilibrium":
         return fp.symmetric_equilibrium(params.kappa).sample
     if isinstance(init, str) and init.startswith("constant:"):
-        v = float(init.split(":", 1)[1])
+        try:
+            v = float(init.split(":", 1)[1])
+        except ValueError:
+            raise ConfigurationError(f"chartist_init={init}: the constant is not a number") from None
         if not abs(v) <= 1.0:
             raise ConfigurationError(f"chartist_init={init}: the constant must lie in [-1, 1]")
         return lambda rng, n: np.full(n, v)

@@ -219,11 +219,13 @@ class TestMainCommand:
     @pytest.mark.parametrize("line, key", [
         ("beta=nan", "beta"), ("zeta2_price=nan", "zeta2_price"),
         ("chartist_init=constant:nan", "chartist_init"), ("dt=nan", "dt"),
-        ("S0=inf", "S0"), ("L=-inf", "L")])
+        ("S0=inf", "S0"), ("L=-inf", "L"), ("N=nan", "N"),
+        ("beta=abc", "beta"), ("chartist_init=constant:abc", "chartist_init")])
     def test_non_finite_config_value_exits_one_before_writing(
             self, tmp_path, capsys, line, key):
         # a nan fails every ordered comparison, so `if x < 0: raise` lets it
-        # through: unchecked, the run goes ahead and writes nan files
+        # through: unchecked, the run goes ahead and writes nan files; a
+        # value that does not parse must name its key too
         cfg = tmp_path / "c.txt"
         cfg.write_text(line + "\n")
         out = tmp_path / "r"
@@ -233,6 +235,49 @@ class TestMainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR:config:{key}"), err
         assert not out.exists()
+
+    def test_analyze_without_samples_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--seed", "1",
+                     "--out", str(out)] + SMALL) == 0
+        (out / "s_samples.txt").unlink()
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR:config:")
+
+    def test_run_into_a_regular_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("kept\n")
+        assert main(["run", "--preset", "test1", "--seed", "1",
+                     "--out", str(out)] + SMALL) == 1
+        assert capsys.readouterr().err.startswith("ERROR:config:")
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name, over, written", [
+        ("test1", "", {"chartist_fp.csv", "lognormal_fp.csv"}),
+        ("test2", "", {"pareto_fp.csv", "hill_scan.csv"}),
+        ("test3a", "", set()),
+        ("test1", "rho_C0=0.5", {"pareto_fp.csv", "hill_scan.csv"}),
+        ("test2", "rho_C0=1.0", {"chartist_fp.csv", "lognormal_fp.csv"}),
+        ("test1", "enable_switching=true", set()),
+    ], ids=["test1", "test2", "test3a", "test1-fundamentalists",
+            "test2-chartists", "test1-switching"])
+    def test_overlays_follow_from_the_populations(self, tmp_path, name, over,
+                                                  written):
+        # chartists alone: opinion equilibrium and lognormal price; a fixed
+        # fundamentalist share: Pareto tail and a finer price histogram;
+        # switching: no closed form
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(over + "\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", name, "--seed", "2", "--config", str(cfg),
+                     "--out", str(out)] + SMALL) == 0
+        overlays = {"chartist_fp.csv", "lognormal_fp.csv", "pareto_fp.csv",
+                    "hill_scan.csv"}
+        assert {p.name for p in out.iterdir()} & overlays == written
+        rows = len((out / "s_hist.csv").read_text().splitlines()) - 1
+        assert rows == (200 if "pareto_fp.csv" in written else 100)
+        assert len((out / "y_hist.csv").read_text().splitlines()) - 1 == 100
 
     def test_reused_out_keeps_no_stale_outputs(self, tmp_path):
         # test1 writes overlays that test3a does not: a test3a run into
@@ -344,20 +389,28 @@ class TestMainCommand:
         assert (out1 / "trajectory.csv").read_bytes() == \
             (out2 / "trajectory.csv").read_bytes()
 
-    def test_config_with_retired_n_streams_replays(self, tmp_path):
-        # config files written before the thread-pool mode was removed carry
-        # n_streams=1, the sequential mode every run now uses
+    @pytest.mark.parametrize("line", [
+        "n_streams=4", "overlay_chartist=true", "overlay_lognormal=true",
+        "overlay_pareto=false", "hill_k_frac=0.5", "bins_y=7", "bins_s=13",
+    ], ids=lambda line: line.split("=")[0])
+    def test_config_with_retired_key_replays(self, tmp_path, line):
+        # config files of older versions carry keys that are gone: n_streams
+        # of the thread-pool mode, and analysis settings that now follow
+        # from the run; each loads, does nothing and is not written again
         out1 = tmp_path / "orig"
         assert main(["run", "--preset", "test2", "--seed", "5",
                      "--out", str(out1)] + SMALL) == 0
-        cfg = out1 / "config.txt"
-        assert "n_streams" not in cfg.read_text()
-        cfg.write_text(cfg.read_text() + "n_streams=1\n")
+        key = line.split("=")[0]
+        assert key not in (out1 / "config.txt").read_text()
+        old = tmp_path / "old.txt"
+        old.write_text((out1 / "config.txt").read_text() + line + "\n")
         out2 = tmp_path / "replay"
-        assert main(["run", "--preset", "custom", "--config", str(cfg),
+        assert main(["run", "--preset", "test2", "--config", str(old),
                      "--out", str(out2)]) == 0
-        for name in ("trajectory.csv", "y_samples.txt", "s_samples.txt"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert sorted(p.name for p in out2.iterdir()) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         # a misspelt alpha1 must not run silently with the preset's value
