@@ -6,15 +6,20 @@ run          execute a preset or custom configuration and write all outputs
 preset-list  show the built-in experiment presets
 analyze      recompute statistics and overlays from a finished run directory
 
-Every run writes to its output directory: ``trajectory.csv`` (per-iteration
-statistics), ``y_samples.txt`` / ``s_samples.txt`` (terminal sample sets, one
-value per line), ``y_hist.csv`` / ``s_hist.csv``, ``config.txt`` (the fully
-resolved key=value configuration, reusable via --config), and ``summary.txt``
-(key=value report).  The analytic overlays (two-column CSV) follow from the
-populations: with switching off, a market of chartists alone gets
-``chartist_fp.csv`` (opinion equilibrium) and ``lognormal_fp.csv`` (price),
-and one with fundamentalists gets ``pareto_fp.csv`` and ``hill_scan.csv``
-(fat price tail) and a 200-bin price histogram; a switching run gets none.
+A run writes ``config.txt`` (the fully resolved key=value configuration,
+reusable via --config), ``trajectory.csv`` and ``y_samples.txt`` /
+``s_samples.txt`` (terminal sample sets, one value per line), then analyzes
+its directory as ``analyze`` does: ``y_hist.csv`` / ``s_hist.csv``, the
+overlays and ``summary.txt`` (key=value report).  ``trajectory.csv`` holds,
+per iteration, ``iter,t,S,Y,rho_C,rho_F,E,max_abs_y,min_price`` and the
+iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
+fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
+The analytic overlays (two-column CSV) follow from the populations: with
+switching off, a market of chartists alone gets ``chartist_fp.csv`` (opinion
+equilibrium) and ``lognormal_fp.csv`` (price), and one with fundamentalists
+gets ``pareto_fp.csv`` and a 200-bin price histogram, and ``hill_scan.csv``
+(fat price tail) when its 200 or more prices are not all equal; a switching
+run gets none.
 All randomness is controlled by the seed (--seed, else the config file's, else
 0); two runs with identical flags produce identical files.
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
@@ -226,24 +232,51 @@ _OUTPUTS = ("config.txt", "trajectory.csv", "y_samples.txt", "s_samples.txt",
             "y_hist.csv", "s_hist.csv", "chartist_fp.csv", "lognormal_fp.csv",
             "pareto_fp.csv", "hill_scan.csv", "summary.txt")
 
-# run totals kept only in summary.txt: summary key -> Trajectory attribute
-_COUNTERS = {"interaction_rejections": "n_rejected",
-             "switches_to_fundamentalist": "n_switches_cf",
-             "switches_to_chartist": "n_switches_fc"}
+
+def _load(path: Path, **kwargs) -> np.ndarray:
+    # np.loadtxt naming the file that does not parse (numpy names the row);
+    # an empty y_samples.txt, of a market without chartists, is no cause to warn
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
-def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
-                     counters: dict) -> dict:
-    """Histograms, overlays and the summary table for a finished run.
+def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
+    """Histograms, overlays and the summary table of the run directory ``out``,
+    from its trajectory.csv and terminal samples (see the module docstring).
 
-    ``traj`` needs the columns S, Y, rho_C, rho_F and E and the terminal
-    samples y_final and s_final.  ``counters`` holds the run totals for the
-    summary; a key missing from it is left out.  Which closed form the run
-    is compared with follows from its populations (see the module docstring).
+    After writing the summary, raises InvariantViolation at the first row
+    that breaks the population bookkeeping, |y| <= 1 or s >= 0.
     """
     p = config.sim.params
     N = config.sim.N
+    path = out / "trajectory.csv"
+    with open(path) as fh:
+        columns = fh.readline().rstrip("\n").split(",")
+    missing = [c for c in Trajectory.CSV_COLUMNS if c not in columns]
+    if missing:
+        raise ConfigurationError(f"{path} has no column {', '.join(missing)}")
+    rows = _load(path, delimiter=",", skiprows=1, ndmin=2)
+    want = (config.sim.n_iters + 1, len(columns))
+    if rows.shape != want:
+        raise ConfigurationError(f"{path} holds {rows.shape[0]} rows of {rows.shape[1]} "
+                                 f"values, not {want[0]} of {want[1]}")
+    traj = SimpleNamespace(**dict(zip(columns, rows.T)))
+    y = _load(out / "y_samples.txt", ndmin=1)
+    s = _load(out / "s_samples.txt", ndmin=1)
     n_chartists = np.round(traj.rho_C * N)
+    # per row: a whole number of agents in [0, N], rho_C + rho_F exactly 1,
+    # and (failing on nan too) |y| <= 1 and s >= 0
+    broken = {
+        "rho_C": ~((n_chartists >= 0) & (n_chartists <= N)
+                   & (n_chartists / N == traj.rho_C)),
+        "rho_F": traj.rho_C + traj.rho_F != 1.0,
+        "max_abs_y": ~(traj.max_abs_y <= 1.0),
+        "min_price": ~(traj.min_price >= 0.0),
+    }
     summary: dict = {
         "preset": config.preset,
         "seed": config.sim.seed,
@@ -256,25 +289,24 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
         "terminal_rho_C": float(traj.rho_C[-1]),
         "terminal_rho_F": float(traj.rho_F[-1]),
         "terminal_E": float(traj.E[-1]),
-        **counters,
-        "min_price_terminal": float(traj.s_final.min()) if traj.s_final.size else 0.0,
-        "max_abs_y_terminal": float(np.abs(traj.y_final).max()) if traj.y_final.size else 0.0,
-        "rho_sum_exact": bool(np.all(traj.rho_C + traj.rho_F == 1.0)),
-        # every rho_C must be a whole number of agents in [0, N]
-        "n_agents_constant": bool(np.all((n_chartists >= 0) & (n_chartists <= N)
-                                         & (n_chartists / N == traj.rho_C))),
+        "interaction_rejections": int(traj.rejected.sum()),
+        "switches_to_fundamentalist": int(traj.switch_cf.sum()),
+        "switches_to_chartist": int(traj.switch_fc.sum()),
+        "min_price_terminal": float(s.min()) if s.size else 0.0,
+        "max_abs_y_terminal": float(np.abs(y).max()) if y.size else 0.0,
+        "rho_sum_exact": not broken["rho_F"].any(),
+        "n_agents_constant": not broken["rho_C"].any(),
     }
 
     fixed = not config.sim.enable_switching
     rho_F = float(traj.rho_F[-1])
-    if traj.y_final.size:
-        y_hist = stats.Histogram.from_samples(traj.y_final, bins=100,
-                                              range=(-1.0, 1.0))
+    if y.size:
+        y_hist = stats.Histogram.from_samples(y, bins=100, range=(-1.0, 1.0))
         y_hist.to_csv(out / "y_hist.csv")
     else:
         y_hist = None
     s_hist = stats.Histogram.from_samples(
-        traj.s_final, bins=200 if fixed and rho_F > 0.0 else 100)
+        s, bins=200 if fixed and rho_F > 0.0 else 100)
     s_hist.to_csv(out / "s_hist.csv")
 
     if traj.S.size >= 200:
@@ -296,32 +328,40 @@ def _analyze_outputs(config: ExperimentConfig, traj, out: Path,
             summary["lognormal_S_ref"] = S_ref
             summary["lognormal_E"] = E_T
             summary["ks_lognormal"] = stats.ks_statistic(
-                traj.s_final, lambda s: fp.lognormal_price_cdf(s, S_ref, E_T))
-            fit_m, fit_v = stats.lognormal_fit(traj.s_final)
+                s, lambda x: fp.lognormal_price_cdf(x, S_ref, E_T))
+            fit_m, fit_v = stats.lognormal_fit(s)
             summary["log_mean_fit"] = fit_m
             summary["log_var_fit"] = fit_v
 
     if fixed and rho_F > 0.0 and p.zeta2_price > 0.0:
         state = fp.pareto_steady_state(p, rho_F)
-        grid = np.geomspace(max(1e-3, float(np.quantile(traj.s_final, 1e-3))),
-                            float(traj.s_final.max()), 801)
+        grid = np.geomspace(max(1e-3, float(np.quantile(s, 1e-3))),
+                            float(s.max()), 801)
         _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
         summary["mu_exp"] = state.mu_exp
-        # diagnostic plateau scan over k in [1%, 10%] of the sample size
-        scan = stats.hill_plateau(traj.s_final)
-        with open(out / "hill_scan.csv", "w") as fh:
-            fh.write("k,estimate\n")
-            for k, est in zip(scan.k_values, scan.estimates):
-                fh.write(f"{int(k)},{est:.17g}\n")
-        summary["hill_plateau_found"] = scan.plateau_found
-        summary["hill_plateau_mean"] = float(scan.estimates.mean())
-        k_default = int(0.05 * traj.s_final.size)
-        summary["hill_k"] = k_default
-        summary["hill_estimate"] = stats.hill_tail_index(traj.s_final, k_default)
-        summary["price_mean"] = float(traj.s_final.mean())
+        # the Hill estimates need k = 5% of the prices to be at least 10, and
+        # a tail without ties; the diagnostic plateau scan takes k in [1%, 10%]
+        if s.size >= 200 and s.min() < s.max():
+            scan = stats.hill_plateau(s)
+            with open(out / "hill_scan.csv", "w") as fh:
+                fh.write("k,estimate\n")
+                for k, est in zip(scan.k_values, scan.estimates):
+                    fh.write(f"{int(k)},{est:.17g}\n")
+            summary["hill_plateau_found"] = scan.plateau_found
+            summary["hill_plateau_mean"] = float(scan.estimates.mean())
+            k_default = int(0.05 * s.size)
+            summary["hill_k"] = k_default
+            summary["hill_estimate"] = stats.hill_tail_index(s, k_default)
+        summary["price_mean"] = float(s.mean())
         summary["price_mean_rel_err"] = abs(summary["price_mean"] - p.S_F) / p.S_F
 
     _write_keyvalues(out / "summary.txt", summary)
+    for column, bad in broken.items():
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolation(
+                f"{path}: row {i}: {column}={float(getattr(traj, column)[i])} "
+                "breaks whole agents, rho_C + rho_F = 1, |y| <= 1 or s >= 0")
     return summary
 
 
@@ -336,8 +376,7 @@ def run_experiment(config: ExperimentConfig, out: Path) -> dict:
     _write_keyvalues(out / "config.txt", _config_table(config))
     traj.to_csv(out / "trajectory.csv")
     traj.write_samples(out / "y_samples.txt", out / "s_samples.txt")
-    return _analyze_outputs(config, traj, out,
-                            {k: getattr(traj, a) for k, a in _COUNTERS.items()})
+    return _analyze_outputs(config, out)
 
 
 # --------------------------------------------------------------------------
@@ -453,27 +492,10 @@ def _cmd_preset_list() -> int:
 
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
-    cfg_path = out / "config.txt"
-    if not cfg_path.exists():
-        raise ConfigurationError(f"{out} does not contain a config.txt")
-    table = load_config_file(cfg_path)
-    config = preset(table.pop("preset", "custom"), table)
-    y = np.loadtxt(out / "y_samples.txt", ndmin=1)
-    s = np.loadtxt(out / "s_samples.txt", ndmin=1)
-    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
-    traj = SimpleNamespace(S=rows[:, 2], Y=rows[:, 3], rho_C=rows[:, 4],
-                           rho_F=rows[:, 5], E=rows[:, 6], y_final=y, s_final=s)
-    # the run's totals are on disk only in the summary this call rewrites
-    path = out / "summary.txt"
-    ran = (dict(ln.split("=", 1) for ln in path.read_text().splitlines() if "=" in ln)
-           if path.exists() else {})
-    counters = {k: int(ran[k]) for k in _COUNTERS if k in ran}
-    summary = _analyze_outputs(config, traj, out, counters)
+    table = load_config_file(out / "config.txt")
+    summary = _analyze_outputs(preset(table.pop("preset", "custom"), table), out)
     for k, v in summary.items():
         print(f"{k}={_fmt(v)}")
-    broken = [k for k in ("rho_sum_exact", "n_agents_constant") if not summary[k]]
-    if broken:
-        raise InvariantViolation(f"{out}: {', '.join(broken)} is false")
     return 0
 
 

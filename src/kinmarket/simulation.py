@@ -202,23 +202,36 @@ class Trajectory:
     n_chartists: np.ndarray
     max_abs_y: np.ndarray
     min_price: np.ndarray
+    rejected: np.ndarray   # interactions voided in each iteration
+    switch_cf: np.ndarray  # chartist -> fundamentalist switches in each
+    switch_fc: np.ndarray  # fundamentalist -> chartist switches in each
     N: int
     y_final: np.ndarray
     s_final: np.ndarray
-    n_rejected: int = 0
-    n_switches_cf: int = 0
-    n_switches_fc: int = 0
+    # the header of to_csv, which writes one row per recorded iteration
+    CSV_COLUMNS = ("iter", "t", "S", "Y", "rho_C", "rho_F", "E", "max_abs_y",
+                   "min_price", "rejected", "switch_cf", "switch_fc")
 
     def __len__(self) -> int:
         return self.S.size
 
+    @property
+    def n_switches_cf(self) -> int:
+        return int(self.switch_cf.sum())
+
+    @property
+    def n_switches_fc(self) -> int:
+        return int(self.switch_fc.sum())
+
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("iter,t,S,Y,rho_C,rho_F,E\n")
+            fh.write(",".join(self.CSV_COLUMNS) + "\n")
             for i in range(self.S.size):
                 fh.write(
                     f"{i},{self.t[i]:.17g},{self.S[i]:.17g},{self.Y[i]:.17g},"
-                    f"{self.rho_C[i]:.17g},{self.rho_F[i]:.17g},{self.E[i]:.17g}\n"
+                    f"{self.rho_C[i]:.17g},{self.rho_F[i]:.17g},{self.E[i]:.17g},"
+                    f"{self.max_abs_y[i]:.17g},{self.min_price[i]:.17g},"
+                    f"{self.rejected[i]},{self.switch_cf[i]},{self.switch_fc[i]}\n"
                 )
 
     def write_samples(self, y_path, s_path) -> None:
@@ -450,6 +463,7 @@ def run(config: SimConfig) -> Trajectory:
     n_rec = config.n_iters + 1
     t, S, Y, rho_C, rho_F, E, max_abs_y, min_price = np.empty((8, n_rec))
     n_chart = np.empty(n_rec, dtype=np.int64)
+    rejected, switch_cf, switch_fc = np.zeros((3, n_rec), dtype=np.int64)
     work = _Workspace()
 
     def record(i: int) -> None:
@@ -468,30 +482,23 @@ def run(config: SimConfig) -> Trajectory:
         min_price[i] = prices.s_min
 
     record(0)
-    n_rejected = 0
-    n_cf = 0
-    n_fc = 0
     for i in range(1, n_rec):
         # the market state frozen for this iteration is the last record's
         phi = value_function(config.value_spec, prices.trend)
-        n_rejected += step_chartists(ensemble, phi, params, config.dt, rng, work)
+        rejected[i] = step_chartists(ensemble, phi, params, config.dt, rng, work)
         if config.pin_mean:
             _recenter(ensemble.y)
         if config.enable_switching:
-            cf, fc = step_strategy_exchange(ensemble, prices.S_curr,
-                                            prices.trend, params, config.dt,
-                                            rng)
-            n_cf += cf
-            n_fc += fc
+            switch_cf[i], switch_fc[i] = step_strategy_exchange(
+                ensemble, prices.S_curr, prices.trend, params, config.dt, rng)
         step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]),
                    float(rho_F[i - 1]), params, config.dt, rng, work)
         record(i)
 
     return Trajectory(
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,
-        max_abs_y=max_abs_y, min_price=min_price,
-        N=config.N,
+        max_abs_y=max_abs_y, min_price=min_price, rejected=rejected,
+        switch_cf=switch_cf, switch_fc=switch_fc, N=config.N,
         y_final=ensemble.y.copy(),
         s_final=prices.samples.copy(),
-        n_rejected=n_rejected, n_switches_cf=n_cf, n_switches_fc=n_fc,
     )

@@ -33,7 +33,9 @@ def synthetic_trajectory(S, N=1000):
         t=np.arange(n, dtype=float), S=S, Y=np.zeros(n),
         rho_C=np.full(n, 0.5), rho_F=np.full(n, 0.5), E=S * S,
         n_chartists=np.full(n, N // 2, dtype=np.int64),
-        max_abs_y=np.zeros(n), min_price=S.copy(), N=N,
+        max_abs_y=np.zeros(n), min_price=S.copy(),
+        rejected=np.zeros(n, dtype=np.int64), switch_cf=np.zeros(n, dtype=np.int64),
+        switch_fc=np.zeros(n, dtype=np.int64), N=N,
         y_final=np.zeros(10), s_final=np.full(10, S[-1]),
     )
 
@@ -279,6 +281,38 @@ class TestMainCommand:
         assert rows == (200 if "pareto_fp.csv" in written else 100)
         assert len((out / "y_hist.csv").read_text().splitlines()) - 1 == 100
 
+    @pytest.mark.parametrize("size", [
+        ["--n-agents", "200", "--n-price-samples", "100", "--iters", "30"],
+        ["--n-agents", "200", "--n-price-samples", "199", "--iters", "30"],
+        ["--n-agents", "200", "--n-price-samples", "400", "--iters", "0"],
+    ], ids=["k-5", "k-9", "all-prices-equal"])
+    def test_hill_scan_only_where_the_estimator_is_defined(self, tmp_path,
+                                                           capsys, size):
+        # the Hill estimate takes k = 5% of the prices, at least 10, and
+        # needs a tail without ties: a finished run with fewer than 200
+        # prices, or none yet moved, gets its Pareto overlay and no Hill block
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "1",
+                     "--out", str(out)] + size) == 0, capsys.readouterr().err
+        summary = _keyvalues((out / "summary.txt").read_text())
+        assert "mu_exp" in summary and (out / "pareto_fp.csv").exists()
+        assert not (out / "hill_scan.csv").exists()
+        assert not [k for k in summary if k.startswith("hill_")]
+        assert main(["analyze", "--out", str(out)]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_without_chartists_writes_no_y_histogram_and_no_warning(
+            self, tmp_path):
+        # an empty y_samples.txt is a run's output, read back without a warning
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("rho_C0=0.0\n")
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "2", "--config",
+                     str(cfg), "--out", str(out)] + SMALL) == 0
+        assert (out / "y_samples.txt").read_text() == ""
+        assert not (out / "y_hist.csv").exists()
+        assert main(["analyze", "--out", str(out)]) == 0
+
     def test_reused_out_keeps_no_stale_outputs(self, tmp_path):
         # test1 writes overlays that test3a does not: a test3a run into
         # test1's directory must leave what it leaves in a fresh one, and
@@ -433,12 +467,8 @@ class TestMainCommand:
         assert main(["run", "--preset", "test1", "--seed", "5",
                      "--out", str(out)] + SMALL) == 0
         original = (out / "summary.txt").read_text()
-        # keep only the run totals, which no other file of the run holds
-        (out / "summary.txt").write_text("".join(
-            ln + "\n" for ln in original.splitlines()
-            if ln.split("=", 1)[0] in ("interaction_rejections",
-                                       "switches_to_fundamentalist",
-                                       "switches_to_chartist")))
+        # the run totals too are in trajectory.csv, as column sums
+        (out / "summary.txt").unlink()
         assert main(["analyze", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_text() == original
 
@@ -460,43 +490,64 @@ class TestMainCommand:
         assert (out / "summary.txt").read_text() == "".join(
             f"{k}={v}\n" for k, v in ran.items())
 
-    def test_analyze_leaves_out_counters_it_cannot_read(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        assert main(["run", "--preset", "test3a", "--seed", "3", "--out",
-                     str(out)] + SMALL) == 0
-        lines = (out / "summary.txt").read_text().splitlines()
-        (out / "summary.txt").write_text("".join(
-            ln + "\n" for ln in lines if not ln.startswith("switches_to_chartist=")))
-        capsys.readouterr()
-        assert main(["analyze", "--out", str(out)]) == 0
-        analyzed = _keyvalues(capsys.readouterr().out)
-        assert "switches_to_chartist" not in analyzed
-        assert "switches_to_fundamentalist" in analyzed
-        (out / "summary.txt").unlink()
-        assert main(["analyze", "--out", str(out)]) == 0
-        analyzed = _keyvalues(capsys.readouterr().out)
-        assert not {"interaction_rejections", "switches_to_fundamentalist",
-                    "switches_to_chartist"} & set(analyzed)
-
-    def test_analyze_rejects_an_edited_population_share(self, tmp_path, capsys):
+    @pytest.mark.parametrize("column, edit", [
+        ("rho_C", {4: "0.500013", 5: "0.499987"}),
+        ("max_abs_y", {7: "1.0000000000000002"}),
+        ("min_price", {8: "-0.25"}),
+    ], ids=["rho_C", "max_abs_y", "min_price"])
+    def test_analyze_rejects_an_edited_population_share(self, tmp_path, capsys,
+                                                        column, edit):
         # rho_C = 0.500013 is no whole number of agents out of N = 400; with
-        # rho_F edited to match, rho_C + rho_F stays exactly 1
+        # rho_F edited to match, rho_C + rho_F stays exactly 1.  |y| > 1 and
+        # a negative price are checked at every row from disk as well.
         out = tmp_path / "r"
         assert main(["run", "--preset", "test2", "--seed", "5",
                      "--out", str(out)] + SMALL) == 0
         capsys.readouterr()
+        original = (out / "summary.txt").read_text()
         lines = (out / "trajectory.csv").read_text().splitlines()
         row = lines[3].split(",")
         assert row[4] == "0.5"
-        row[4], row[5] = "0.500013", "0.499987"
+        for k, v in edit.items():
+            row[k] = v
         assert float(row[4]) + float(row[5]) == 1.0
         lines[3] = ",".join(row)
         (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "n_agents_constant=false" in captured.out
-        assert "rho_sum_exact=true" in captured.out
-        assert "ERROR:numerical:" in captured.err
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:numerical:")
+        assert "row 2: " + column in err, err
+        summary = (out / "summary.txt").read_text()
+        if column == "rho_C":
+            assert "n_agents_constant=false" in summary
+            assert "rho_sum_exact=true" in summary
+        else:
+            assert summary == original
+
+    @pytest.mark.parametrize("name, edit, named", [
+        ("y_samples.txt", lambda text: "x\n", "could not convert string 'x'"),
+        ("s_samples.txt", lambda text: text + "0.5,2\n", "0.5,2"),
+        ("trajectory.csv", lambda text: text.replace("\n2,2,", "\n2,abc,", 1),
+         "at row 2"),
+        ("trajectory.csv", lambda text: "".join(
+            ",".join(ln.split(",")[:7]) + "\n" for ln in text.splitlines()),
+         "no column max_abs_y, min_price, rejected, switch_cf, switch_fc"),
+        ("trajectory.csv", lambda text: text.split("\n", 1)[0] + "\n",
+         "holds 0 rows"),
+    ], ids=["y-samples", "s-samples", "trajectory-value", "trajectory-7-columns",
+            "trajectory-no-rows"])
+    def test_analyze_names_the_file_it_cannot_read(self, tmp_path, capsys, name,
+                                                   edit, named):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--seed", "5",
+                     "--out", str(out)] + SMALL) == 0
+        path = out / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:config:{path}"), err
+        assert named in err, err
 
     def test_analyze_missing_dir_exits_one(self, tmp_path, capsys):
         assert main(["analyze", "--out", str(tmp_path / "missing")]) == 1

@@ -526,12 +526,25 @@ class TestRun:
                 (tmp_path / f"{name}_ref.txt").read_bytes()
 
     def test_csv_export_round_trips(self, tmp_path):
-        traj = run(small_config(n_iters=10))
         path = tmp_path / "trajectory.csv"
-        traj.to_csv(path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (11, 7)
-        assert np.array_equal(rows[:, 2], traj.S)
+        totals = np.zeros(3, dtype=np.int64)
+        # with no analytic noise bound (gamma_diff = 2) chartists reject
+        # interactions; test3a switches both ways
+        p = dataclasses.replace(small_config().params, sigma2_opinion=0.3,
+                                gamma_diff=2.0)
+        for cfg in (small_config(params=p, n_iters=10, chartist_init="uniform"),
+                    preset("test3a", {"N": 2000, "N_s": 2000, "n_iters": 10}).sim):
+            traj = run(cfg)
+            traj.to_csv(path)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert rows.shape == (11, 12)
+            for k, col in ((2, traj.S), (7, traj.max_abs_y), (8, traj.min_price)):
+                assert np.array_equal(rows[:, k], col)
+            sums = rows[:, 9:].sum(axis=0)
+            assert list(sums) == [traj.rejected.sum(), traj.n_switches_cf,
+                                  traj.n_switches_fc]
+            totals += sums.astype(np.int64)
+        assert np.all(totals > 0)
         ypath, spath = tmp_path / "y.txt", tmp_path / "s.txt"
         traj.write_samples(ypath, spath)
         assert np.array_equal(np.loadtxt(ypath), traj.y_final)
@@ -701,9 +714,10 @@ def _reference_run(config):
         return float(y[mask].mean()) if mask.any() else 0.0
 
     rec = {k: [] for k in ("t", "S", "Y", "rho_C", "rho_F", "E", "n_chartists",
-                           "max_abs_y", "min_price")}
+                           "max_abs_y", "min_price", "rejected", "switch_cf",
+                           "switch_fc")}
 
-    def record(i):
+    def record(i, rejected=0, cf=0, fc=0):
         n_c = int(np.count_nonzero(mask))
         rc = n_c / config.N
         rec["t"].append(i * config.dt)
@@ -716,30 +730,30 @@ def _reference_run(config):
         rec["max_abs_y"].append(float(np.abs(y[mask]).max()) if mask.any()
                                 else 0.0)
         rec["min_price"].append(float(s.min()))
+        rec["rejected"].append(rejected)
+        rec["switch_cf"].append(cf)
+        rec["switch_fc"].append(fc)
 
     record(0)
-    counts = dict(n_rejected=0, n_switches_cf=0, n_switches_fc=0)
     for i in range(1, config.n_iters + 1):
         y_mean = mean_propensity()
         rc = np.count_nonzero(mask) / config.N
         rf = 1.0 - rc
         phi = value_function(config.value_spec, trend)
-        counts["n_rejected"] += _ref_step_chartists(y, mask, phi, params,
-                                                    config.dt, rng)
+        rejected = _ref_step_chartists(y, mask, phi, params, config.dt, rng)
         if config.pin_mean:
             _ref_recenter(y, mask)
+        cf = fc = 0
         if config.enable_switching:
             cf, fc = _ref_step_strategy_exchange(y, mask, S_curr, trend, params,
                                                  config.dt, rng)
-            counts["n_switches_cf"] += cf
-            counts["n_switches_fc"] += fc
         s = _ref_step_price(s, y_mean, rc, rf, params, config.dt, rng)
         S_prev, S_curr = S_curr, float(s.mean())
         trend = (S_curr - S_prev) / (config.dt * S_curr) if S_curr > 0.0 else 0.0
-        record(i)
+        record(i, rejected, cf, fc)
 
     return dict({k: np.array(v) for k, v in rec.items()},
-                y_final=y[mask].copy(), s_final=s.copy(), **counts)
+                y_final=y[mask].copy(), s_final=s.copy())
 
 
 # The law test below compares run() and the reference loop over LAW_SEEDS
@@ -806,10 +820,11 @@ class TestBitIdentity:
             assert len(r["S"]) == len(ref["S"]) == cfg.n_iters + 1
             # the initial record precedes every step
             for field in ("S", "Y", "rho_C", "rho_F", "E", "n_chartists",
-                          "max_abs_y", "min_price"):
+                          "max_abs_y", "min_price", "rejected", "switch_cf",
+                          "switch_fc"):
                 assert r[field][0] == ref[field][0], field
             if cfg.enable_switching:
-                assert r["n_switches_cf"] > 0 and r["n_switches_fc"] > 0
+                assert r["switch_cf"].sum() > 0 and r["switch_fc"].sum() > 0
         bounds = dict(zip(("y", "s"), LAW_KS_POOLED[name, pin_mean]),
                       S=LAW_KS_PER_RUN, rho_C=LAW_KS_PER_RUN)
         for key, bound in bounds.items():
