@@ -11,7 +11,6 @@ from .model import (
     diffusion,
     fundamentalist_profit,
     herding,
-    opinion_noise_halfwidth,
     price_noise_halfwidth,
     switch_rate,
     value_function,

@@ -16,10 +16,11 @@ iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
 fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
 The analytic overlays (two-column CSV) follow from the populations: with
 switching off, a market of chartists alone gets ``chartist_fp.csv`` (opinion
-equilibrium) and ``lognormal_fp.csv`` (price), and one with fundamentalists
-gets ``pareto_fp.csv`` and a 200-bin price histogram, and ``hill_scan.csv``
-(fat price tail) when its 200 or more prices are not all equal; a switching
-run gets none.
+equilibrium, for a positive finite kappa) and ``lognormal_fp.csv`` (price),
+and one with fundamentalists gets ``pareto_fp.csv`` (when its tail exponent
+exceeds 1) and a 200-bin price histogram, and ``hill_scan.csv`` (fat price
+tail) when its 200 or more prices are not all equal; a switching run gets
+none.
 All randomness is controlled by the seed (--seed, else the config file's, else
 0); two runs with identical flags produce identical files.
 
@@ -31,6 +32,7 @@ Errors are printed to stderr with the machine-readable prefix
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -234,14 +236,17 @@ _OUTPUTS = ("config.txt", "trajectory.csv", "y_samples.txt", "s_samples.txt",
 
 
 def _load(path: Path, **kwargs) -> np.ndarray:
-    # np.loadtxt naming the file that does not parse (numpy names the row);
-    # an empty y_samples.txt, of a market without chartists, is no cause to warn
+    # np.loadtxt naming the file that does not parse and its row, counted from
+    # 0 (numpy counts from 1 where the number of values changes); an empty
+    # y_samples.txt, of a market without chartists, is no cause to warn
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(path, **kwargs)
     except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        msg = re.sub(r"(changed from \d+ to \d+) at row (\d+);.*",
+                     lambda m: f"{m[1]} at row {int(m[2]) - 1}", str(exc))
+        raise ConfigurationError(f"{path}: {msg}") from None
 
 
 def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
@@ -313,7 +318,7 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if fixed and rho_F == 0.0:
-        if y_hist is not None:
+        if y_hist is not None and 0.0 < p.kappa < np.inf:
             eq = fp.symmetric_equilibrium(p.kappa)
             grid = np.linspace(-1.0, 1.0, 801)
             _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
@@ -334,11 +339,15 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
             summary["log_var_fit"] = fit_v
 
     if fixed and rho_F > 0.0 and p.zeta2_price > 0.0:
-        state = fp.pareto_steady_state(p, rho_F)
-        grid = np.geomspace(max(1e-3, float(np.quantile(s, 1e-3))),
-                            float(s.max()), 801)
-        _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
-        summary["mu_exp"] = state.mu_exp
+        try:
+            state = fp.pareto_steady_state(p, rho_F)
+        except ValueError:  # mu <= 1: no steady law without a restoring force
+            state = None
+        if state is not None:
+            grid = np.geomspace(max(1e-3, float(np.quantile(s, 1e-3))),
+                                float(s.max()), 801)
+            _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
+            summary["mu_exp"] = state.mu_exp
         # the Hill estimates need k = 5% of the prices to be at least 10, and
         # a tail without ties; the diagnostic plateau scan takes k in [1%, 10%]
         if s.size >= 200 and s.min() < s.max():

@@ -319,12 +319,10 @@ def solve_macro_ode(S0: float, Y0: float, rho_C: float, params: ModelParams,
     propensity equation closes to dY/dt = alpha2 rho_C (phi(trend) - Y).
     Population fractions are held fixed.
     """
-    rho_F = 1.0 - rho_C
-
     def deriv(S: float, Y: float) -> tuple[float, float]:
         if S <= 0.0:
             raise PriceCollapse(f"price reached S={S} during integration")
-        S_dot = params.beta * float(price_drift(params, S, Y, rho_C, rho_F))
+        S_dot = params.beta * float(price_drift(params, S, Y, rho_C))
         return S_dot, params.alpha2 * rho_C * (float(phi(S_dot / S)) - Y)
 
     n = int(round(T / dt))

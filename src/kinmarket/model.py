@@ -5,11 +5,13 @@ propensity y in [-1, 1], with fundamentalists who bet on reversal of the price
 toward a fundamental value S_F.  This module holds the validated parameter
 records and every pure behavioral function the rest of the package consumes:
 the prospect-theoretic value function, herding and diffusion profiles, the
-profit comparison driving strategy switches, and the admissibility bounds for
-the bounded interaction noises.
+profit comparison driving strategy switches, and the admissibility rule of the
+bounded price noise.
 
-All functions here are deterministic and reentrant; validation happens once,
-at construction of the parameter records.
+All functions here are deterministic and reentrant.  The parameter records
+validate themselves once, at construction, the opinion-noise bound included;
+the price-noise bound moves with the population split, so each price step
+checks it (``price_noise_halfwidth``).
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ __all__ = [
     "fundamentalist_profit",
     "price_drift",
     "switch_rate",
-    "opinion_noise_halfwidth",
     "price_noise_halfwidth",
-    "max_opinion_noise_variance",
-    "max_price_noise_variance",
-    "validate_opinion_noise",
-    "validate_price_noise",
 ]
 
 
@@ -70,7 +67,10 @@ class ModelParams:
 
     The admissibility condition ``beta * (t_C + gamma_f) < 1`` is the uniform
     (over population fractions) version of the support bound required to keep
-    prices nonnegative under bounded multiplicative noise.
+    prices nonnegative under bounded multiplicative noise.  With gamma_diff =
+    1 the opinion noise, uniform on +-sqrt(3 sigma2_opinion), must fit inside
+    +-(1 - alpha1 - alpha2) / 2 to keep |y'| <= 1; other exponents have no
+    such bound, and the interactions that leave [-1, 1] are rejected instead.
     """
 
     alpha1: float = 0.01          # herding weight in a binary interaction
@@ -123,6 +123,13 @@ class ModelParams:
             raise ConfigurationError(
                 f"beta * (t_C + gamma_f) = {self.beta * (self.t_C + self.gamma_f)} "
                 "must be < 1 to admit nonnegative prices for every population split"
+            )
+        c = 0.5 * (1.0 - self.alpha1 - self.alpha2)
+        if self.gamma_diff == 1.0 and self.sigma2_opinion > c * c / 3.0:
+            raise ConfigurationError(
+                f"opinion-noise variance {self.sigma2_opinion} is inadmissible; "
+                f"maximum admissible variance is {c * c / 3.0} "
+                f"(uniform noise on +-{c})"
             )
         object.__setattr__(self, "r_return", self.dividend / self.S_F)
 
@@ -209,9 +216,11 @@ def fundamentalist_profit(params: ModelParams, S: float) -> float:
     return params.k_discount * abs(params.S_F - S) / S
 
 
-def price_drift(params: ModelParams, s, Y: float, rho_C: float, rho_F: float):
-    """Mean-price drift per unit beta, rho_C t_C Y s + rho_F gamma_f (S_F - s)."""
-    return rho_C * params.t_C * Y * s + rho_F * params.gamma_f * (params.S_F - s)
+def price_drift(params: ModelParams, s, Y: float, rho_C: float):
+    """Mean-price drift per unit beta, rho_C t_C Y s + rho_F gamma_f (S_F - s),
+    with rho_F = 1 - rho_C."""
+    return rho_C * params.t_C * Y * s \
+        + (1.0 - rho_C) * params.gamma_f * (params.S_F - s)
 
 
 # exp(60) ~ 1e26: any switch rate beyond this saturates min(1, .) for every
@@ -229,69 +238,19 @@ def switch_rate(params: ModelParams, x):
     return float(rate) if np.ndim(x) == 0 else rate
 
 
-def opinion_noise_halfwidth(params: ModelParams) -> float:
-    """Support half-width (1 - alpha1 - alpha2) / 2 keeping |y'| <= 1.
+def price_noise_halfwidth(params: ModelParams, rho_C: float, dt: float) -> float:
+    """Half-width sqrt(3 zeta2 dt) of the uniform price noise at split rho_C.
 
-    The bound holds for the diffusion profile with gamma_diff = 1; for other
-    exponents there is no analytic bound and out-of-range interactions are
-    rejected instead.
-    """
-    return 0.5 * (1.0 - params.alpha1 - params.alpha2)
-
-
-def price_noise_halfwidth(params: ModelParams, rho_C: float, rho_F: float,
-                          dt: float = 1.0) -> float:
-    """Support half-width 1 - dt*beta*(rho_C t_C + rho_F gamma_f) keeping s' >= 0."""
-    return 1.0 - dt * params.beta * (rho_C * params.t_C + rho_F * params.gamma_f)
-
-
-def max_opinion_noise_variance(params: ModelParams) -> float:
-    """Largest admissible opinion-noise variance for a uniform noise law."""
-    c = opinion_noise_halfwidth(params)
-    return c * c / 3.0
-
-
-def max_price_noise_variance(params: ModelParams, rho_C: float, rho_F: float,
-                             dt: float = 1.0) -> float:
-    """Largest admissible per-unit-time price-noise variance (uniform law)."""
-    d = price_noise_halfwidth(params, rho_C, rho_F, dt)
-    if d <= 0.0:
-        return 0.0
-    return d * d / (3.0 * dt)
-
-
-def validate_opinion_noise(params: ModelParams) -> float:
-    """Reject opinion-noise variances whose uniform support exceeds the bound.
-
-    Only enforced for gamma_diff = 1, where the analytic support bound applies;
-    other diffusion exponents fall back to interaction rejection.  Returns the
-    half-width sqrt(3 sigma2) of the noise support.
-    """
-    halfwidth = math.sqrt(3.0 * params.sigma2_opinion)
-    if params.gamma_diff != 1.0:
-        return halfwidth
-    vmax = max_opinion_noise_variance(params)
-    if params.sigma2_opinion > vmax:
-        raise ConfigurationError(
-            f"opinion-noise variance {params.sigma2_opinion} is inadmissible; "
-            f"maximum admissible variance is {vmax} "
-            f"(uniform noise on +-{opinion_noise_halfwidth(params)})"
-        )
-    return halfwidth
-
-
-def validate_price_noise(params: ModelParams, rho_C: float, rho_F: float,
-                         dt: float = 1.0) -> float:
-    """Reject price-noise variances whose uniform support allows s' < 0.
-
-    Returns the half-width sqrt(3 zeta2 dt) of the admitted noise support.
+    Refuses, naming the largest admissible variance, a support wider than
+    1 - dt beta (rho_C t_C + rho_F gamma_f), rho_F = 1 - rho_C, past which a
+    price could turn negative.
     """
     halfwidth = math.sqrt(3.0 * params.zeta2_price * dt)
-    d = price_noise_halfwidth(params, rho_C, rho_F, dt)
+    d = 1.0 - dt * params.beta * (rho_C * params.t_C + (1.0 - rho_C) * params.gamma_f)
     if halfwidth > d:
         raise ConfigurationError(
             f"price-noise variance {params.zeta2_price} is inadmissible at "
-            f"rho_C={rho_C}, rho_F={rho_F}, dt={dt}; maximum admissible "
-            f"variance is {max_price_noise_variance(params, rho_C, rho_F, dt)}"
+            f"rho_C={rho_C}, dt={dt}; maximum admissible variance is "
+            f"{max(d, 0.0) ** 2 / (3.0 * dt)}"
         )
     return halfwidth

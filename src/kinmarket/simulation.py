@@ -30,6 +30,7 @@ price step reuses it.  Scratch arrays live as long as the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,9 +48,8 @@ from .model import (
     fundamentalist_profit,
     herding,
     price_drift,
+    price_noise_halfwidth,
     switch_rate,
-    validate_opinion_noise,
-    validate_price_noise,
     value_function,
 )
 
@@ -310,20 +310,19 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     market-trend target of the interaction.  Sampled as K ~ Binomial(floor(N_C/2),
     rho_C * dt) pairs of 2K distinct chartists drawn in random order, the
     first K against the last K: a uniform K-subset of a uniform matching.
-    Returns the number of rejected interactions.
+    The noise, uniform on +-sqrt(3 sigma2_opinion), is admitted by
+    ``ModelParams``.  Returns the number of rejected interactions.
     """
     y = ensemble.y
     n_c = y.size
     p = n_c / ensemble.N * dt
-    if p > 1.0:
-        raise ConfigurationError(f"interaction probability rho_C*dt = {p} exceeds 1")
     m = n_c // 2
     k = m if p == 1.0 else int(rng.binomial(m, p))
     if k == 0:
         return 0
     pick = rng.choice(n_c, 2 * k, replace=False)
     first, second = pick[:k], pick[k:]
-    c = validate_opinion_noise(params)
+    c = math.sqrt(3.0 * params.sigma2_opinion)
     noise = rng.uniform(-c, c, 2 * k)
     work = _Workspace() if work is None else work
     # np.take with mode="clip" writes straight into its buffer; every index
@@ -339,21 +338,22 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     return int(np.count_nonzero(rejected))
 
 
-def step_price(prices: PriceEnsemble, Y: float, rho_C: float, rho_F: float,
+def step_price(prices: PriceEnsemble, Y: float, rho_C: float,
                params: ModelParams, dt: float, rng,
                work: _Workspace | None = None) -> PriceEnsemble:
     """Update every price sample independently and refresh the trend estimate.
 
-    The drift is scaled by dt and the noise variance by dt; the noise support
-    is validated against the nonnegativity bound for the current population
-    split before any sample is touched.  The drift is affine in the sample,
-    so s' = s (1 + dt beta slope + eta) + dt beta intercept, one pass in place.
+    rho_C is the chartist share (rho_F = 1 - rho_C).  Drift and noise variance
+    scale with dt; before any sample is touched, the noise is checked against
+    the nonnegativity bound at this split, so a run stops at the first step
+    that makes it inadmissible.  The drift is affine in the sample, so
+    s' = s (1 + dt beta slope + eta) + dt beta intercept, one pass in place.
     """
-    c = validate_price_noise(params, rho_C, rho_F, dt)
+    c = price_noise_halfwidth(params, rho_C, dt)
     s = prices.samples
     scale = dt * params.beta
-    intercept = price_drift(params, 0.0, Y, rho_C, rho_F)
-    slope = price_drift(params, 1.0, Y, rho_C, rho_F) - intercept
+    intercept = price_drift(params, 0.0, Y, rho_C)
+    slope = price_drift(params, 1.0, Y, rho_C) - intercept
     work = _Workspace() if work is None else work
     # eta = c (2u - 1), uniform on [-c, c)
     factor = rng.random(out=work("u", s.size))
@@ -365,8 +365,7 @@ def step_price(prices: PriceEnsemble, Y: float, rho_C: float, rho_F: float,
     if s_min < 0.0:
         raise InvariantViolation(
             f"price sample {int(np.argmin(s))} became negative ({s_min}) "
-            f"despite an admissible noise support; rho_C={rho_C}, "
-            f"rho_F={rho_F}, dt={dt}"
+            f"despite an admissible noise support; rho_C={rho_C}, dt={dt}"
         )
     S_prev = prices.S_curr
     prices.s_min, prices.S_curr = s_min, float(s.mean())
@@ -407,14 +406,12 @@ def step_strategy_exchange(ensemble: AgentEnsemble, S: float, trend: float,
     compacted out, the rest keeping their order, and the arrivals appended.
     Returns (chartist->fundamentalist, fundamentalist->chartist) counts.
     """
-    if S <= 0.0:
-        raise ValueError(f"price must be positive for strategy exchange, got {S}")
+    x_f = fundamentalist_profit(params, S)  # raises unless S > 0
     y = ensemble.y
     n_c = y.size
     if n_c == 0:
         return 0, 0
     rho_C = n_c / ensemble.N
-    x_f = fundamentalist_profit(params, S)
     x_c = chartist_profit(params, _SIGNS, S, trend * S)
     p_cf = _switch_probabilities(params, dt, 1.0 - rho_C, x_f - x_c)
     p_fc = _switch_probabilities(params, dt, rho_C, x_c - x_f)
@@ -454,7 +451,6 @@ def run(config: SimConfig) -> Trajectory:
     the trajectory has n_iters + 1 records.
     """
     params = config.params
-    validate_opinion_noise(params)
     rng = np.random.default_rng(config.seed)
 
     ensemble = AgentEnsemble.initialize(config, rng)
@@ -491,8 +487,8 @@ def run(config: SimConfig) -> Trajectory:
         if config.enable_switching:
             switch_cf[i], switch_fc[i] = step_strategy_exchange(
                 ensemble, prices.S_curr, prices.trend, params, config.dt, rng)
-        step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]),
-                   float(rho_F[i - 1]), params, config.dt, rng, work)
+        step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]), params,
+                   config.dt, rng, work)
         record(i)
 
     return Trajectory(

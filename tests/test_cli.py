@@ -97,15 +97,15 @@ class TestPresets:
             preset("test9")
 
     def test_noise_defaults_admissible(self):
-        from kinmarket.model import (max_opinion_noise_variance,
-                                     max_price_noise_variance)
+        # each bound written out, at every population split
         for name in PRESETS:
             p = preset(name).sim.params
+            c = 0.5 * (1.0 - p.alpha1 - p.alpha2)
             if p.gamma_diff == 1.0:
-                assert p.sigma2_opinion <= max_opinion_noise_variance(p)
+                assert p.sigma2_opinion <= c * c / 3.0
             for rho_C in (0.0, 0.5, 1.0):
-                assert p.zeta2_price <= max_price_noise_variance(
-                    p, rho_C, 1.0 - rho_C)
+                d = 1.0 - p.beta * (rho_C * p.t_C + (1.0 - rho_C) * p.gamma_f)
+                assert p.zeta2_price <= d * d / 3.0
 
 
 class TestClassifyRegime:
@@ -209,7 +209,7 @@ class TestMainCommand:
 
     def test_inadmissible_opinion_noise_in_a_config_writes_nothing(self, tmp_path,
                                                                    capsys):
-        # the key passes the config schema; run() refuses the noise
+        # the key passes the config schema; the parameters refuse the noise
         cfg = tmp_path / "c.txt"
         cfg.write_text("sigma2_opinion=0.5\n")
         out = tmp_path / "r"
@@ -299,6 +299,37 @@ class TestMainCommand:
         assert not (out / "hill_scan.csv").exists()
         assert not [k for k in summary if k.startswith("hill_")]
         assert main(["analyze", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("name, lines, skipped", [
+        ("test2", "gamma_f=0.0\n", ("pareto_fp.csv", "mu_exp")),
+        ("test2", "beta=0.0\n", ("pareto_fp.csv", "mu_exp")),
+        ("test1", "sigma2_opinion=0.0\n",
+         ("chartist_fp.csv", "kappa", "l1_chartist")),
+        ("test1", "alpha1=0.0\nalpha2=0.0\n",
+         ("chartist_fp.csv", "kappa", "l1_chartist")),
+    ], ids=["gamma_f-0", "beta-0", "sigma2-0", "alphas-0"])
+    def test_overlay_without_a_law_is_left_out(self, tmp_path, capsys, name,
+                                               lines, skipped):
+        # mu = 1 + 2 beta rho_F gamma_f / zeta2 is 1 without a restoring
+        # force, and kappa = sigma2 / (alpha1 + alpha2) is 0 or nan: no
+        # steady law to overlay, but the run itself is sound
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(lines)
+        out = tmp_path / "r"
+        assert main(["run", "--preset", name, "--seed", "1", "--config",
+                     str(cfg), "--out", str(out), "--n-agents", "400",
+                     "--n-price-samples", "400", "--iters", "30"]) == 0, \
+            capsys.readouterr().err
+        written = (out / "summary.txt").read_text()
+        summary = _keyvalues(written)
+        for skip in skipped:
+            assert not (out / skip).exists() and skip not in summary, skip
+        kept = ("hill_scan.csv", "price_mean") if name == "test2" \
+            else ("lognormal_fp.csv", "ks_lognormal")
+        assert (out / kept[0]).exists() and kept[1] in summary
+        (out / "summary.txt").unlink()
+        assert main(["analyze", "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_text() == written
 
     @pytest.mark.filterwarnings("error")
     def test_run_without_chartists_writes_no_y_histogram_and_no_warning(
@@ -529,13 +560,16 @@ class TestMainCommand:
         ("s_samples.txt", lambda text: text + "0.5,2\n", "0.5,2"),
         ("trajectory.csv", lambda text: text.replace("\n2,2,", "\n2,abc,", 1),
          "at row 2"),
+        # numpy counts this row from 1, and adds advice on usecols
+        ("trajectory.csv", lambda text: text.replace("\n3,3,", ",5\n3,3,", 1),
+         "changed from 12 to 13 at row 2\n"),
         ("trajectory.csv", lambda text: "".join(
             ",".join(ln.split(",")[:7]) + "\n" for ln in text.splitlines()),
          "no column max_abs_y, min_price, rejected, switch_cf, switch_fc"),
         ("trajectory.csv", lambda text: text.split("\n", 1)[0] + "\n",
          "holds 0 rows"),
-    ], ids=["y-samples", "s-samples", "trajectory-value", "trajectory-7-columns",
-            "trajectory-no-rows"])
+    ], ids=["y-samples", "s-samples", "trajectory-value", "trajectory-extra-value",
+            "trajectory-7-columns", "trajectory-no-rows"])
     def test_analyze_names_the_file_it_cannot_read(self, tmp_path, capsys, name,
                                                    edit, named):
         out = tmp_path / "r"

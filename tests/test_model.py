@@ -1,7 +1,7 @@
 """Behavioral functions: value-of-trend, herding, diffusion, profits, rates."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,13 +14,11 @@ from kinmarket.model import (
     diffusion,
     fundamentalist_profit,
     herding,
-    max_opinion_noise_variance,
-    opinion_noise_halfwidth,
     price_noise_halfwidth,
     switch_rate,
-    validate_opinion_noise,
     value_function,
 )
+from kinmarket.simulation import AgentEnsemble, step_chartists
 
 
 def make_test3_params(**over):
@@ -199,34 +197,58 @@ class TestSwitchRate:
 
 
 class TestNoiseBounds:
-    def test_opinion_halfwidth(self):
-        p = ModelParams(alpha1=0.01, alpha2=0.01)
-        assert opinion_noise_halfwidth(p) == pytest.approx(0.49, abs=1e-15)
+    # each bound written out: at gamma_diff = 1 the opinion noise, uniform on
+    # +-sqrt(3 sigma2), fits in +-(1 - alpha1 - alpha2) / 2; the price noise,
+    # uniform on +-sqrt(3 zeta2 dt), in 1 - dt beta (rho_C t_C + rho_F gamma_f)
+
+    @pytest.mark.parametrize("a1, a2", [(0.01, 0.01), (0.2, 0.55), (0.0, 0.0)])
+    def test_opinion_noise_at_its_bound(self, a1, a2):
+        c = 0.5 * (1.0 - a1 - a2)
+        below, above = (c * c / 3.0 * (1.0 + e) for e in (-1e-12, 1e-12))
+        ModelParams(alpha1=a1, alpha2=a2, sigma2_opinion=below)
+        with pytest.raises(ConfigurationError, match="maximum admissible"):
+            ModelParams(alpha1=a1, alpha2=a2, sigma2_opinion=above)
+        ModelParams(alpha1=a1, alpha2=a2, sigma2_opinion=above, gamma_diff=2.0)
+
+    @pytest.mark.parametrize("dt", [1.0, 0.25])
+    @pytest.mark.parametrize("rho_C", [0.0, 0.5, 1.0])
+    def test_price_noise_at_its_bound(self, rho_C, dt):
+        p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.3)
+        d = 1.0 - dt * 0.1 * (rho_C * 1.0 + (1.0 - rho_C) * 1.3)
+        below, above = (d * d / (3.0 * dt) * (1.0 + e) for e in (-1e-12, 1e-12))
+        assert price_noise_halfwidth(replace(p, zeta2_price=below), rho_C, dt) \
+            == math.sqrt(3.0 * below * dt)
+        with pytest.raises(ConfigurationError, match="maximum admissible"):
+            price_noise_halfwidth(replace(p, zeta2_price=above), rho_C, dt)
 
     def test_degenerate_halfwidth(self):
-        p = ModelParams(alpha1=0.5, alpha2=0.5, sigma2_opinion=0.0)
-        assert opinion_noise_halfwidth(p) == 0.0
-
-    def test_price_halfwidth(self):
-        p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.3)
-        assert price_noise_halfwidth(p, 0.5, 0.5) == pytest.approx(0.885, abs=1e-15)
+        # alpha1 + alpha2 = 1 leaves no room: only a noiseless market
+        ModelParams(alpha1=0.5, alpha2=0.5, sigma2_opinion=0.0)
+        with pytest.raises(ConfigurationError):
+            ModelParams(alpha1=0.5, alpha2=0.5, sigma2_opinion=1e-300)
 
     def test_inadmissible_opinion_variance_rejected(self):
-        p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.5)
         with pytest.raises(ConfigurationError) as err:
-            validate_opinion_noise(p)
+            ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.5)
         # the error reports the admissible maximum
-        assert str(max_opinion_noise_variance(p))[:6] in str(err.value)
+        c = 0.5 * (1.0 - 0.01 - 0.01)
+        assert f"maximum admissible variance is {c * c / 3.0}" in str(err.value)
 
     def test_admissible_variance_accepted(self):
-        c = validate_opinion_noise(ModelParams(alpha1=0.01, alpha2=0.01,
-                                               sigma2_opinion=0.02))
-        # the half-width of the noise support the interaction draws from
-        assert c == math.sqrt(3.0 * 0.02)
+        # from y = 0, with phi = 0, each interaction moves y to its own noise
+        # draw: uniform on the half-width sqrt(3 sigma2)
+        p = ModelParams(alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02)
+        ens = AgentEnsemble(y=np.zeros(20000), n_fundamentalists=0)
+        assert step_chartists(ens, 0.0, p, 1.0, np.random.default_rng(1)) == 0
+        c = np.abs(ens.y).max()
+        assert 0.999 * math.sqrt(0.06) < c <= math.sqrt(3.0 * 0.02)
 
     def test_nonquadratic_diffusion_skips_support_check(self):
+        # other exponents reject the interactions that leave [-1, 1] instead
         p = ModelParams(alpha1=0.4, alpha2=0.4, sigma2_opinion=0.5, gamma_diff=2.0)
-        assert validate_opinion_noise(p) == math.sqrt(1.5)
+        ens = AgentEnsemble(y=np.zeros(2000), n_fundamentalists=0)
+        assert step_chartists(ens, 0.0, p, 1.0, np.random.default_rng(1)) > 0
+        assert np.abs(ens.y).max() <= 1.0
 
 
 class TestModelParamsValidation:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kinmarket.model import ModelParams, ValueFunctionSpec, max_opinion_noise_variance
+from kinmarket.model import ModelParams, ValueFunctionSpec
 from kinmarket.simulation import (
     AgentEnsemble,
     SimConfig,
@@ -33,11 +33,12 @@ def params_and_dt(draw):
     dt = draw(st.floats(0.01, 1.0))
     # the uniform price noise keeps s' > 0 at every population split
     reach = 1.0 - dt * beta * max(t_C, gamma_f)
-    # the opinion-noise bound holds for gamma_diff = 1; other exponents admit
-    # any variance and reject the interactions that leave [-1, 1]
+    # the opinion noise fits in +-(1 - alpha1 - alpha2) / 2 for gamma_diff = 1;
+    # other exponents admit any variance and reject the interactions that
+    # leave [-1, 1]
     gamma_diff = draw(st.sampled_from([1.0, 0.5, 2.0]))
-    vmax = max_opinion_noise_variance(ModelParams(alpha1=alpha1, alpha2=alpha2)) \
-        if gamma_diff == 1.0 else 1.0
+    c = 0.5 * (1.0 - alpha1 - alpha2)
+    vmax = c * c / 3.0 if gamma_diff == 1.0 else 1.0
     params = ModelParams(
         alpha1=alpha1, alpha2=alpha2, sigma2_opinion=draw(unit) * vmax,
         beta=beta, zeta2_price=0.9 * draw(unit) * reach * reach / (3.0 * dt),

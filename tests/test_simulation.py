@@ -19,9 +19,6 @@ from kinmarket.model import (
     ValueFunctionSpec,
     chartist_profit,
     fundamentalist_profit,
-    max_price_noise_variance,
-    price_noise_halfwidth,
-    validate_opinion_noise,
     value_function,
 )
 from kinmarket.simulation import (
@@ -144,12 +141,6 @@ class TestStepChartists:
         step_chartists(ens, 0.0, p, 1.0, rng)
         assert np.array_equal(ens.y, y0)
 
-    def test_probability_overflow_rejected(self):
-        p = ModelParams()
-        ens = AgentEnsemble(y=np.zeros(100), n_fundamentalists=0)
-        with pytest.raises(ConfigurationError):
-            step_chartists(ens, 0.0, p, 1.5, np.random.default_rng(0))
-
     def test_mirrored_pairs_keep_mean_near_zero(self):
         # one step from symmetric data: each repetition stays within the
         # Monte Carlo band of the pair-sampling estimator
@@ -202,14 +193,14 @@ class TestStepPrice:
     def test_frozen_without_drift_and_noise(self):
         p = ModelParams(zeta2_price=0.0)
         prices = PriceEnsemble.initialize(100, 10.0)
-        step_price(prices, 0.0, 1.0, 0.0, p, 1.0, np.random.default_rng(0))
+        step_price(prices, 0.0, 1.0, p, 1.0, np.random.default_rng(0))
         assert np.all(prices.samples == 10.0)
         assert prices.trend == 0.0
 
     def test_chartist_drift_hand_value(self):
         p = ModelParams(beta=0.1, t_C=1.0, zeta2_price=0.0)
         prices = PriceEnsemble.initialize(10, 10.0)
-        step_price(prices, 0.2, 1.0, 0.0, p, 1.0, np.random.default_rng(0))
+        step_price(prices, 0.2, 1.0, p, 1.0, np.random.default_rng(0))
         assert np.allclose(prices.samples, 10.2)
         assert prices.S_curr == pytest.approx(10.2, rel=1e-15)
 
@@ -219,7 +210,7 @@ class TestStepPrice:
         rng = np.random.default_rng(0)
         gap = 10.0 - 20.0
         for _ in range(10):
-            step_price(prices, 0.0, 0.0, 1.0, p, 1.0, rng)
+            step_price(prices, 0.0, 0.0, p, 1.0, rng)
             gap *= 1.0 - 0.1 * 1.3
             assert prices.S_curr == pytest.approx(20.0 + gap, rel=1e-13)
 
@@ -227,7 +218,7 @@ class TestStepPrice:
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.3, zeta2_price=0.4)
         prices = PriceEnsemble.initialize(10, 10.0)
         with pytest.raises(ConfigurationError) as err:
-            step_price(prices, 0.0, 0.5, 0.5, p, 1.0, np.random.default_rng(0))
+            step_price(prices, 0.0, 0.5, p, 1.0, np.random.default_rng(0))
         assert "maximum admissible" in str(err.value)
 
     def test_samples_stay_nonnegative_at_maximal_noise(self):
@@ -237,7 +228,7 @@ class TestStepPrice:
         prices = PriceEnsemble.initialize(20000, 10.0)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            step_price(prices, -1.0, 0.5, 0.5, p, 1.0, rng)
+            step_price(prices, -1.0, 0.5, p, 1.0, rng)
         assert prices.samples.min() >= 0.0
 
 
@@ -551,9 +542,10 @@ class TestRun:
         assert np.array_equal(np.loadtxt(spath), traj.s_final)
 
     def test_inadmissible_opinion_noise_rejected_before_running(self):
-        p = ModelParams(alpha1=0.3, alpha2=0.3, sigma2_opinion=0.5)
+        # the parameters refuse it: no configuration, so no run, can hold it
         with pytest.raises(ConfigurationError):
-            run(small_config(params=p))
+            run(small_config(params=ModelParams(alpha1=0.3, alpha2=0.3,
+                                                sigma2_opinion=0.5)))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -626,10 +618,10 @@ def _ref_step_chartists(y, mask, phi, params, dt, rng):
 
 def _ref_step_price(s, Y, rho_C, rho_F, params, dt, rng):
     c = math.sqrt(3.0 * params.zeta2_price * dt)
-    if c > price_noise_halfwidth(params, rho_C, rho_F, dt):
+    d = 1.0 - dt * params.beta * (rho_C * params.t_C + rho_F * params.gamma_f)
+    if c > d:
         raise ConfigurationError(
-            f"maximum admissible variance is "
-            f"{max_price_noise_variance(params, rho_C, rho_F, dt)}")
+            f"maximum admissible variance is {d * d / (3.0 * dt)}")
     eta = rng.uniform(-c, c, s.size)
     new = s + dt * params.beta * (rho_C * params.t_C * Y * s
                                   + rho_F * params.gamma_f * (params.S_F - s)) \
@@ -703,7 +695,6 @@ def _ref_initialize(config, rng):
 
 def _reference_run(config):
     params = config.params
-    validate_opinion_noise(params)
     rng = np.random.default_rng(config.seed)
     y, mask = _ref_initialize(config, rng)
     s = np.full(config.N_s, float(config.S0))
