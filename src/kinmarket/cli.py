@@ -7,7 +7,8 @@ preset-list  show the built-in experiment presets
 analyze      recompute statistics and overlays from a finished run directory
 
 A run writes ``config.txt`` (the fully resolved key=value configuration,
-reusable via --config), ``trajectory.csv`` and ``y_samples.txt`` /
+reusable via --config, under a comment naming the layout of the random
+streams), ``trajectory.csv`` and ``y_samples.txt`` /
 ``s_samples.txt`` (terminal sample sets, one value per line), then analyzes
 its directory as ``analyze`` does: ``y_hist.csv`` / ``s_hist.csv``, the
 overlays and ``summary.txt`` (key=value report).  ``trajectory.csv`` holds,
@@ -16,11 +17,12 @@ iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
 fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
 The analytic overlays (two-column CSV) follow from the populations: with
 switching off, a market of chartists alone gets ``chartist_fp.csv`` (opinion
-equilibrium, for a positive finite kappa) and ``lognormal_fp.csv`` (price),
-and one with fundamentalists gets ``pareto_fp.csv`` (when its tail exponent
-exceeds 1) and a 200-bin price histogram, and ``hill_scan.csv`` (fat price
-tail) when its 200 or more prices are not all equal; a switching run gets
-none.
+equilibrium, for a positive finite kappa it can normalize) and
+``lognormal_fp.csv`` (price, when the terminal second moment E_T exceeds S0^2,
+as that of every lognormal law of mean S0 does), and one with fundamentalists
+gets ``pareto_fp.csv`` (when its tail exponent exceeds 1) and a 200-bin price
+histogram, and ``hill_scan.csv`` (fat price tail) when its 200 or more prices
+are not all equal; a switching run gets none.
 All randomness is controlled by the seed (--seed, else the config file's, else
 0); two runs with identical flags produce identical files.
 
@@ -51,7 +53,7 @@ from .model import (
     NumericsError,
     ValueFunctionSpec,
 )
-from .simulation import SimConfig, Trajectory, run
+from .simulation import STREAM_LAYOUT, SimConfig, Trajectory, run
 
 __all__ = ["ExperimentConfig", "preset", "preset_names", "classify_regime",
            "main", "entry"]
@@ -200,8 +202,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_keyvalues(path: Path, table: dict) -> None:
+def _write_keyvalues(path: Path, table: dict, header: str = "") -> None:
     with open(path, "w") as fh:
+        fh.write(header)
         for k, v in table.items():
             fh.write(f"{k}={_fmt(v)}\n")
 
@@ -318,8 +321,11 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if fixed and rho_F == 0.0:
-        if y_hist is not None and 0.0 < p.kappa < np.inf:
+        try:  # none at kappa 0 or nan, nor normalizable at kappa = 1e-7
             eq = fp.symmetric_equilibrium(p.kappa)
+        except (ValueError, NumericsError):
+            eq = None
+        if y_hist is not None and eq is not None:
             grid = np.linspace(-1.0, 1.0, 801)
             _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
             summary["kappa"] = eq.kappa
@@ -382,7 +388,8 @@ def run_experiment(config: ExperimentConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     for name in _OUTPUTS:
         (out / name).unlink(missing_ok=True)
-    _write_keyvalues(out / "config.txt", _config_table(config))
+    _write_keyvalues(out / "config.txt", _config_table(config),
+                     f"# random streams: {STREAM_LAYOUT}\n")
     traj.to_csv(out / "trajectory.csv")
     traj.write_samples(out / "y_samples.txt", out / "s_samples.txt")
     return _analyze_outputs(config, out)

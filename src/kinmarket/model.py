@@ -184,16 +184,17 @@ def value_function(spec: ValueFunctionSpec, x):
 
 def herding(params: ModelParams, y, out=None):
     """Herding weight H(y) = a + b (1 - |y|), largest at y = 0; into ``out`` if given."""
-    h = np.subtract(1.0, np.abs(y, out=out), out=out)
-    h = np.multiply(params.herding_b, h, out=out)
-    return np.add(params.herding_a, h, out=out)
+    h = np.multiply(np.abs(y, out=out), -params.herding_b, out=out)
+    return np.add(h, params.herding_a + params.herding_b, out=out)
 
 
 def diffusion(params: ModelParams, y, out=None):
-    """Diffusion amplitude D(y) = (1 - y^2)^gamma, 0 at y = +-1; into ``out`` if given."""
+    """Diffusion amplitude D(y) = (1 - y^2)^gamma on |y| <= 1, 0 at y = +-1;
+    into ``out`` if given.  At gamma = 1 it is 1 - y^2 >= 0, unclipped."""
     d = np.subtract(1.0, np.square(y, out=out), out=out)
-    d = np.clip(d, 0.0, None, out=out)
-    d **= params.gamma_diff
+    if params.gamma_diff != 1.0:
+        d = np.clip(d, 0.0, None, out=out)
+        d **= params.gamma_diff
     return d
 
 

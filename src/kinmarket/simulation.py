@@ -11,7 +11,8 @@ One iteration advances three coupled pieces, in a fixed order:
 4. update every price sample independently with fresh bounded noise.
 
 Per-iteration statistics are recorded after step 4; a fixed seed reproduces
-the trajectory bit for bit.
+the trajectory bit for bit, each phase drawing from its own stream
+(``STREAM_LAYOUT``), so a change to one phase leaves the others' draws alone.
 
 The state is what the dynamics read: a dense array of chartist propensities,
 in no particular order, and a count of fundamentalists, who carry none.
@@ -67,20 +68,29 @@ __all__ = [
 
 InitLaw = Callable[[np.random.Generator, int], np.ndarray]
 
+STREAM_LAYOUT = "SeedSequence(seed).spawn(4) -> SFC64: init, pairing, exchange, price"
+
+
+def _streams(seed: int) -> list[np.random.Generator]:
+    return [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(4)]
+
 
 @dataclass
 class AgentEnsemble:
-    """The chartists' propensities, in no particular order, and the number of
-    fundamentalists, who carry no state."""
+    """The chartists' propensities, in no particular order and the live prefix
+    of ``buffer`` (capacity N), and the number of fundamentalists (no state)."""
 
     y: np.ndarray
     n_fundamentalists: int
 
     def __post_init__(self) -> None:
-        self.y = np.asarray(self.y, dtype=float)
-        if self.y.ndim != 1 or self.n_fundamentalists < 0:
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim != 1 or self.n_fundamentalists < 0:
             raise ConfigurationError(
                 "y must be a 1-d array and n_fundamentalists nonnegative")
+        self.buffer = np.concatenate([y, np.empty(self.n_fundamentalists)])
+        self.y = self.buffer[:y.size]
 
     @property
     def N(self) -> int:
@@ -105,10 +115,8 @@ class AgentEnsemble:
 
 def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     # exactly mirrored pairs: the initial mean is zero in exact arithmetic
-    half = n // 2
-    u = rng.random(half)
-    parts = [u, -u] + ([np.zeros(1)] if n % 2 else [])
-    return np.concatenate(parts) if n else np.zeros(0)
+    u = rng.random(n // 2)
+    return np.concatenate([u, -u, np.zeros(n % 2)])
 
 
 # chartist_init laws; _init_law also resolves "equilibrium", "constant:<v>"
@@ -274,19 +282,17 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
     proposed = []
     for u, partner, noise, new in ((ya, ysa, eta, y_buf),
                                    (ysa, ya, eta_star, ys_buf)):
-        # (1 - a1 H(u) - a2) u + a1 H(u) partner + a2 phi + D(u) noise, summed
-        # left to right; the in-place steps apply to arrays (not to scalars)
-        a1h = herding(params, u, out=tmp)
-        a1h *= a1
-        new = np.subtract(1.0, a1h, out=new)
-        new -= a2
-        new *= u
-        a1h *= partner
-        new += a1h
+        # a1 H(u) (partner - u) + D(u) noise + (1 - a2) u + a2 phi, summed left
+        # to right; the in-place steps apply to arrays (not to scalars)
+        t = herding(params, u, out=tmp)
+        t *= a1
+        new = np.subtract(partner, u, out=new)
+        new *= t
+        t = diffusion(params, u, out=tmp)
+        t *= noise
+        new += t
+        new += np.multiply(u, 1.0 - a2, out=tmp)
         new += a2 * phi_val
-        d = diffusion(params, u, out=tmp)
-        d *= noise
-        new += d
         proposed.append(new)
     y_new, ys_new = proposed
     rejected = np.abs(y_new, out=tmp) > 1.0
@@ -295,8 +301,9 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
         if rejected:
             return float(ya), float(ysa), True
         return float(y_new), float(ys_new), False
-    np.copyto(y_new, ya, where=rejected)
-    np.copyto(ys_new, ysa, where=rejected)
+    if rejected.any():
+        np.copyto(y_new, ya, where=rejected)
+        np.copyto(ys_new, ysa, where=rejected)
     return y_new, ys_new, rejected
 
 
@@ -322,9 +329,11 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
         return 0
     pick = rng.choice(n_c, 2 * k, replace=False)
     first, second = pick[:k], pick[k:]
-    c = math.sqrt(3.0 * params.sigma2_opinion)
-    noise = rng.uniform(-c, c, 2 * k)
     work = _Workspace() if work is None else work
+    c = math.sqrt(3.0 * params.sigma2_opinion)  # noise uniform on [-c, c)
+    noise = rng.random(out=work("noise", 2 * k))
+    noise *= 2.0 * c
+    noise -= c
     # np.take with mode="clip" writes straight into its buffer; every index
     # is in range
     y1, y2, rejected = binary_interact(
@@ -403,7 +412,8 @@ def step_strategy_exchange(ensemble: AgentEnsemble, S: float, trend: float,
     p_s) count of departures, a uniform subset of the class; and a
     Binomial(n_F, sum_s n_s p_s / N_C) count of arrivals, each of class s
     with weight n_s p_s and then a uniform member of it.  The departures are
-    compacted out, the rest keeping their order, and the arrivals appended.
+    swap-removed, their holes below the new length filled from the survivors
+    behind it, and the arrivals written after the survivors.
     Returns (chartist->fundamentalist, fundamentalist->chartist) counts.
     """
     x_f = fundamentalist_profit(params, S)  # raises unless S > 0
@@ -415,23 +425,28 @@ def step_strategy_exchange(ensemble: AgentEnsemble, S: float, trend: float,
     x_c = chartist_profit(params, _SIGNS, S, trend * S)
     p_cf = _switch_probabilities(params, dt, 1.0 - rho_C, x_f - x_c)
     p_fc = _switch_probabilities(params, dt, rho_C, x_c - x_f)
-    classes = (y < 0.0, y == 0.0, y > 0.0)
-    n_s = np.array([np.count_nonzero(c) for c in classes])
+    classes = (y < 0.0, None, y > 0.0)  # zeros: counted by subtraction
+    n_neg, n_pos = np.count_nonzero(classes[0]), np.count_nonzero(classes[2])
+    n_s = np.array([n_neg, n_c - n_neg - n_pos, n_pos])
     leave = rng.binomial(n_s, p_cf)
     weight = n_s * p_fc
     k = int(rng.binomial(ensemble.n_fundamentalists,
                          min(1.0, weight.sum() / n_c)))
     join = rng.multinomial(k, weight / weight.sum()) if k else (0, 0, 0)
-    gone, adopted = [], []
-    for members, n, d, a in zip(classes, n_s, leave, join):
-        if d or a:
-            members = np.flatnonzero(members)
-            gone.append(members[rng.choice(n, d, replace=False)])
-            adopted.append(y[members[rng.integers(0, n, a)]])
-    if gone:
-        ensemble.y = np.concatenate([np.delete(y, np.concatenate(gone))] + adopted)
-        ensemble.n_fundamentalists += int(leave.sum()) - k
-    return int(leave.sum()), k
+    # arrivals adopt pre-update propensities, kept past the prefix (k <= n_F)
+    leaving, arrivals, at = np.zeros(n_c, dtype=bool), ensemble.buffer[n_c:n_c + k], 0
+    for members, n, gone, a in zip(classes, n_s, leave, join):
+        if gone or a:
+            members = np.flatnonzero(y == 0.0 if members is None else members)
+            leaving[members[rng.choice(n, gone, replace=False)]] = True
+            arrivals[at:at + a] = y[members[rng.integers(0, n, a)]]
+            at += a
+    m = n_c - int(leave.sum())  # the survivors behind m fill the holes below
+    y[np.flatnonzero(leaving[:m])] = y[m + np.flatnonzero(~leaving[m:])]
+    ensemble.buffer[m:m + k] = arrivals
+    ensemble.y = ensemble.buffer[:m + k]
+    ensemble.n_fundamentalists += n_c - m - k
+    return n_c - m, k
 
 
 def _recenter(y: np.ndarray) -> None:
@@ -451,9 +466,9 @@ def run(config: SimConfig) -> Trajectory:
     the trajectory has n_iters + 1 records.
     """
     params = config.params
-    rng = np.random.default_rng(config.seed)
+    init_rng, pair_rng, switch_rng, price_rng = _streams(config.seed)
 
-    ensemble = AgentEnsemble.initialize(config, rng)
+    ensemble = AgentEnsemble.initialize(config, init_rng)
     prices = PriceEnsemble.initialize(config.N_s, config.S0)
 
     n_rec = config.n_iters + 1
@@ -467,8 +482,7 @@ def run(config: SimConfig) -> Trajectory:
         t[i] = i * config.dt
         S[i] = prices.S_curr
         Y[i] = ensemble.mean_propensity()
-        rc = y.size / ensemble.N
-        rho_C[i] = rc
+        rho_C[i] = rc = y.size / ensemble.N
         rho_F[i] = 1.0 - rc
         # einsum, not dot: at 50k samples on 2 cores a threaded BLAS dot
         # took 7.9 ms, einsum 0.05 ms
@@ -481,14 +495,14 @@ def run(config: SimConfig) -> Trajectory:
     for i in range(1, n_rec):
         # the market state frozen for this iteration is the last record's
         phi = value_function(config.value_spec, prices.trend)
-        rejected[i] = step_chartists(ensemble, phi, params, config.dt, rng, work)
+        rejected[i] = step_chartists(ensemble, phi, params, config.dt, pair_rng, work)
         if config.pin_mean:
             _recenter(ensemble.y)
         if config.enable_switching:
             switch_cf[i], switch_fc[i] = step_strategy_exchange(
-                ensemble, prices.S_curr, prices.trend, params, config.dt, rng)
+                ensemble, prices.S_curr, prices.trend, params, config.dt, switch_rng)
         step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]), params,
-                   config.dt, rng, work)
+                   config.dt, price_rng, work)
         record(i)
 
     return Trajectory(

@@ -307,12 +307,20 @@ class TestMainCommand:
          ("chartist_fp.csv", "kappa", "l1_chartist")),
         ("test1", "alpha1=0.0\nalpha2=0.0\n",
          ("chartist_fp.csv", "kappa", "l1_chartist")),
-    ], ids=["gamma_f-0", "beta-0", "sigma2-0", "alphas-0"])
+        ("test1", "sigma2_opinion=2e-9\n",
+         ("chartist_fp.csv", "kappa", "l1_chartist")),
+        ("test1", "zeta2_price=0.0\npin_mean=false\nchartist_init=constant:-0.5\n",
+         ("lognormal_fp.csv", "ks_lognormal", "log_mean_fit", "log_var_fit")),
+    ], ids=["gamma_f-0", "beta-0", "sigma2-0", "alphas-0", "kappa-1e-7",
+            "falling-price"])
     def test_overlay_without_a_law_is_left_out(self, tmp_path, capsys, name,
                                                lines, skipped):
         # mu = 1 + 2 beta rho_F gamma_f / zeta2 is 1 without a restoring
         # force, and kappa = sigma2 / (alpha1 + alpha2) is 0 or nan: no
-        # steady law to overlay, but the run itself is sound
+        # steady law to overlay, but the run itself is sound.  At kappa =
+        # 1e-7 the opinion peak is narrower than the normalization's nodes,
+        # and a lognormal law of mean S0 has a second moment above S0^2: a
+        # falling noiseless price has none
         cfg = tmp_path / "c.txt"
         cfg.write_text(lines)
         out = tmp_path / "r"
@@ -324,9 +332,13 @@ class TestMainCommand:
         summary = _keyvalues(written)
         for skip in skipped:
             assert not (out / skip).exists() and skip not in summary, skip
-        kept = ("hill_scan.csv", "price_mean") if name == "test2" \
-            else ("lognormal_fp.csv", "ks_lognormal")
-        assert (out / kept[0]).exists() and kept[1] in summary
+        if name == "test2":
+            assert (out / "hill_scan.csv").exists() and "price_mean" in summary
+        else:
+            S0 = preset(name).sim.S0
+            lognormal = float(summary["terminal_E"]) > S0 * S0
+            assert (out / "lognormal_fp.csv").exists() == lognormal
+            assert ("ks_lognormal" in summary) == lognormal
         (out / "summary.txt").unlink()
         assert main(["analyze", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_text() == written

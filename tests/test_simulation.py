@@ -308,7 +308,8 @@ class TestStrategyExchange:
         for _ in range(LAW_REPS):
             ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=n_f)
             cf, fc = step_strategy_exchange(ens, 19.0, trend, p, 1.0, rng)
-            # the chartists that stay keep their order; arrivals come last
+            # the chartists that stay come first, in no particular order;
+            # arrivals come last
             stay, adopted = ens.y[:n_c - cf], ens.y[n_c - cf:]
             got.append([*(sign_counts(y0) - sign_counts(stay)), fc,
                         *sign_counts(adopted)])
@@ -325,6 +326,29 @@ class TestStrategyExchange:
                                   "adopted sellers", "adopted neutrals",
                                   "adopted buyers"]):
             assert_same_law(got[:, j], want[:, j], what)
+
+    @pytest.mark.parametrize("trend", [0.2, -0.1])
+    def test_swap_removal_keeps_what_compaction_keeps(self, trend):
+        # on the same draws the survivors are the chartists np.delete kept,
+        # in another order, and the arrivals the values np.concatenate
+        # appended, in the same order
+        p = self.params()
+        rng = np.random.default_rng(12)
+        y0 = np.concatenate([rng.uniform(0.01, 1.0, 300),
+                             rng.uniform(-1.0, -0.01, 200), np.zeros(100)])
+        moved = np.zeros(3)
+        for seed in range(40):
+            ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=400)
+            cf, fc = step_strategy_exchange(ens, 19.0, trend, p, 1.0,
+                                            np.random.default_rng(seed))
+            want = _compacting_exchange(y0, 400, 19.0, trend, p,
+                                        np.random.default_rng(seed))
+            m = y0.size - cf
+            assert ens.y.size == want.size and ens.n_fundamentalists == 400 - fc + cf
+            assert np.array_equal(np.sort(ens.y[:m]), np.sort(want[:m]))
+            assert np.array_equal(ens.y[m:], want[m:])
+            moved += sign_counts(y0) - sign_counts(ens.y[:m])
+        assert np.all(moved > 0)  # departures from every sign class
 
     def test_nonpositive_price_rejected(self):
         p = self.params()
@@ -363,6 +387,32 @@ class TestStrategyExchange:
         p_cf = _switch_probabilities(p, dt, rho_F, gain)
         p_fc = _switch_probabilities(p, dt, rho_C, -gain)
         assert np.all(rho_C * p_cf - rho_F * p_fc > 0.0)
+
+
+def _compacting_exchange(y, n_f, S, trend, params, rng):
+    """The chartists after step_strategy_exchange at dt = 1 as it was laid out
+    before swap-removal, on the same draws: departures deleted, the rest
+    keeping their order, and arrivals appended."""
+    x_f = fundamentalist_profit(params, S)
+    x_c = chartist_profit(params, np.array([-1.0, 0.0, 1.0]), S, trend * S)
+    rho_C = y.size / (y.size + n_f)
+    p_cf = _switch_probabilities(params, 1.0, 1.0 - rho_C, x_f - x_c)
+    p_fc = _switch_probabilities(params, 1.0, rho_C, x_c - x_f)
+    classes = (y < 0.0, y == 0.0, y > 0.0)
+    n_s = np.array([np.count_nonzero(c) for c in classes])
+    leave = rng.binomial(n_s, p_cf)
+    weight = n_s * p_fc
+    k = int(rng.binomial(n_f, min(1.0, weight.sum() / y.size)))
+    join = rng.multinomial(k, weight / weight.sum()) if k else (0, 0, 0)
+    gone, adopted = [], []
+    for members, n, d, a in zip(classes, n_s, leave, join):
+        if d or a:
+            members = np.flatnonzero(members)
+            gone.append(members[rng.choice(n, d, replace=False)])
+            adopted.append(y[members[rng.integers(0, n, a)]])
+    if not gone:
+        return y.copy()
+    return np.concatenate([np.delete(y, np.concatenate(gone))] + adopted)
 
 
 class TestRun:
@@ -459,11 +509,44 @@ class TestRun:
         cfg = small_config(chartist_init="equilibrium", n_iters=0, rho_C0=0.5)
         p = cfg.params
         kappa = p.sigma2_opinion / (p.alpha1 + p.alpha2)
+        # run() draws the initial opinions from the first of its streams
         want = kinmarket.fokker_planck.ChartistEquilibrium(0.0, kappa).sample(
-            np.random.default_rng(cfg.seed), 1000)
+            kinmarket.simulation._streams(cfg.seed)[0], 1000)
         traj = run(cfg)
         assert traj.n_chartists[0] == 1000
         assert np.array_equal(traj.y_final, want)
+
+    def test_chartists_stay_in_one_buffer(self, monkeypatch):
+        # the exchange moves chartists within the run's buffer of capacity
+        # N: y is always its prefix
+        seen = []
+        exchange = kinmarket.simulation.step_strategy_exchange
+
+        def watched(ensemble, *args):
+            counts = exchange(ensemble, *args)
+            seen.append((ensemble.buffer, ensemble.y))
+            return counts
+
+        monkeypatch.setattr(kinmarket.simulation, "step_strategy_exchange",
+                            watched)
+        cfg = preset("test3a", {"N": 1000, "N_s": 500, "n_iters": 30}).sim
+        traj = run(cfg)
+        buffer = seen[0][0]
+        assert buffer.size == cfg.N and len(seen) == cfg.n_iters
+        for buf, y in seen:
+            assert buf is buffer and y.base is buffer
+            assert y.ctypes.data == buffer.ctypes.data
+        assert len({y.size for _, y in seen}) > 1
+        assert np.array_equal(traj.y_final, seen[-1][1])
+
+    def test_price_stream_is_its_own(self, monkeypatch):
+        # a pinned test1 market holds Y at round-off, so its prices read the
+        # price stream alone: without the pairing step's draws they are the same
+        cfg = preset("test1", {"N": 2000, "N_s": 2000, "n_iters": 100}).sim
+        want = run(cfg).S
+        monkeypatch.setattr(kinmarket.simulation, "step_chartists",
+                            lambda *args: 0)
+        np.testing.assert_allclose(run(cfg).S, want, rtol=1e-12, atol=0.0)
 
     def test_one_mean_propensity_per_iteration(self, monkeypatch):
         calls = []
@@ -695,8 +778,10 @@ def _ref_initialize(config, rng):
 
 def _reference_run(config):
     params = config.params
-    rng = np.random.default_rng(config.seed)
-    y, mask = _ref_initialize(config, rng)
+    # the initial opinions from run()'s init stream, every later draw from
+    # one more generator
+    init_rng, rng = kinmarket.simulation._streams(config.seed)[:2]
+    y, mask = _ref_initialize(config, init_rng)
     s = np.full(config.N_s, float(config.S0))
     S_prev = S_curr = float(config.S0)
     trend = 0.0
