@@ -27,7 +27,6 @@ from .fokker_planck import (
 )
 from .simulation import (
     AgentEnsemble,
-    PriceEnsemble,
     SimConfig,
     Trajectory,
     binary_interact,

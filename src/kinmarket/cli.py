@@ -17,7 +17,9 @@ iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
 fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
 The analytic overlays (two-column CSV) follow from the populations: with
 switching off, a market of chartists alone gets ``chartist_fp.csv`` (opinion
-equilibrium, for a positive finite kappa it can normalize) and
+equilibrium, only where its closed form holds: herding_a = 1, herding_b = 0
+and gamma_diff = 1, i.e. H = 1 and D = 1 - y^2, at a positive finite kappa it
+can normalize) and
 ``lognormal_fp.csv`` (price, when the terminal second moment E_T exceeds S0^2,
 as that of every lognormal law of mean S0 does), and one with fundamentalists
 gets ``pareto_fp.csv`` (when its tail exponent exceeds 1) and a 200-bin price
@@ -173,17 +175,18 @@ def classify_regime(traj: Trajectory, S_F: float) -> str:
         return "crash"
     if S[-1] > 3.0 * S_F and slope >= 0.0:
         return "boom"
-    signs = np.sign(S - S_F)
-    signs = signs[signs != 0]
-    crossings_all = int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+    def crossings(path):
+        # sign changes of path - S_F, points at S_F skipped
+        signs = np.sign(path - S_F)
+        signs = signs[signs != 0]
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
     last_decile = S[-(n // 10):]
-    if crossings_all >= 1 and np.max(np.abs(last_decile - S_F)) / S_F < 0.02:
+    if crossings(S) >= 1 and np.max(np.abs(last_decile - S_F)) / S_F < 0.02:
         return "damped_to_SF"
     half = S[n // 2:]
-    signs_half = np.sign(half - S_F)
-    signs_half = signs_half[signs_half != 0]
-    crossings_half = int(np.count_nonzero(signs_half[1:] != signs_half[:-1]))
-    if crossings_half >= 4 and np.max(np.abs(half - S_F)) >= 0.05 * S_F:
+    if crossings(half) >= 4 and np.max(np.abs(half - S_F)) >= 0.05 * S_F:
         return "oscillatory"
     if np.max(np.abs(S - S[0])) / S[0] < 0.01:
         return "stationary"
@@ -321,8 +324,10 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         summary["regime"] = classify_regime(traj, p.S_F)
 
     if fixed and rho_F == 0.0:
+        # the closed form holds at H = 1 and D = 1 - y^2 alone
+        closed_form = (p.herding_a, p.herding_b, p.gamma_diff) == (1.0, 0.0, 1.0)
         try:  # none at kappa 0 or nan, nor normalizable at kappa = 1e-7
-            eq = fp.symmetric_equilibrium(p.kappa)
+            eq = fp.symmetric_equilibrium(p.kappa) if closed_form else None
         except (ValueError, NumericsError):
             eq = None
         if y_hist is not None and eq is not None:
@@ -476,6 +481,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_summary(summary: dict) -> int:
+    for k, v in summary.items():
+        print(f"{k}={_fmt(v)}")
+    return 0
+
+
 def _cmd_run(args) -> int:
     overrides: dict = {}
     if args.config:
@@ -487,10 +498,8 @@ def _cmd_run(args) -> int:
                        ("pin_mean", pin_mean), ("seed", args.seed)):
         if value is not None:
             overrides[key] = value
-    summary = run_experiment(preset(args.preset, overrides), Path(args.out))
-    for k, v in summary.items():
-        print(f"{k}={_fmt(v)}")
-    return 0
+    return _print_summary(run_experiment(preset(args.preset, overrides),
+                                         Path(args.out)))
 
 
 def _cmd_preset_list() -> int:
@@ -509,10 +518,8 @@ def _cmd_preset_list() -> int:
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     table = load_config_file(out / "config.txt")
-    summary = _analyze_outputs(preset(table.pop("preset", "custom"), table), out)
-    for k, v in summary.items():
-        print(f"{k}={_fmt(v)}")
-    return 0
+    return _print_summary(
+        _analyze_outputs(preset(table.pop("preset", "custom"), table), out))
 
 
 def main(argv=None) -> int:

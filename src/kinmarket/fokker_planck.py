@@ -84,7 +84,7 @@ def _inside_unit(x):
 
 
 class ChartistEquilibrium:
-    """Stationary opinion density for constant herding and D(y) = 1 - y^2.
+    """Stationary opinion density for herding H = 1 and D(y) = 1 - y^2.
 
     The unnormalized form is
 

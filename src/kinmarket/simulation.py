@@ -2,7 +2,10 @@
 
 One iteration advances three coupled pieces, in a fixed order:
 
-1. refresh the frozen market state (mean propensity Y, mean price S, trend);
+1. read the frozen market state from the last records: the mean propensity
+   Y, the chartist share rho_C, the mean price S and the trend
+   (S[i-1] - S[i-2]) / (dt S[i-1]), 0 at the first iteration and at a zero
+   mean price;
 2. pair up the chartists at random and let disjoint pairs interact with
    probability rho_C * dt (constant-kernel sampling);
 3. optionally let agents switch strategy with probability
@@ -15,7 +18,8 @@ the trajectory bit for bit, each phase drawing from its own stream
 (``STREAM_LAYOUT``), so a change to one phase leaves the others' draws alone.
 
 The state is what the dynamics read: a dense array of chartist propensities,
-in no particular order, and a count of fundamentalists, who carry none.
+in no particular order, a count of fundamentalists, who carry none, and the
+array of price samples.
 Each step draws its law exactly, from as few draws as it can
 (Nanbu-Babovsky selection; Pareschi & Russo, ESAIM Proc. 2001):
 
@@ -56,7 +60,6 @@ from .model import (
 
 __all__ = [
     "AgentEnsemble",
-    "PriceEnsemble",
     "SimConfig",
     "Trajectory",
     "binary_interact",
@@ -104,14 +107,6 @@ class AgentEnsemble:
         """Mean y over the chartists (0 if none)."""
         return float(self.y.mean()) if self.y.size else 0.0
 
-    @classmethod
-    def initialize(cls, config: SimConfig,
-                   rng: np.random.Generator) -> "AgentEnsemble":
-        """round(rho_C0 N) chartists drawn from the law ``chartist_init`` names."""
-        n_c = int(round(config.rho_C0 * config.N))
-        law = _init_law(config.chartist_init, config.params)
-        return cls(y=law(rng, n_c), n_fundamentalists=config.N - n_c)
-
 
 def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     # exactly mirrored pairs: the initial mean is zero in exact arithmetic
@@ -146,21 +141,6 @@ def _init_law(init: str, params: ModelParams) -> InitLaw:
 
 
 @dataclass
-class PriceEnsemble:
-    """Price sample set with its mean, smallest sample and trend estimate."""
-
-    samples: np.ndarray
-    S_curr: float
-    s_min: float
-    trend: float  # (S_curr - S_prev) / (dt * S_curr); 0 before the first update
-
-    @classmethod
-    def initialize(cls, N_s: int, S0: float) -> "PriceEnsemble":
-        S0 = float(S0)
-        return cls(samples=np.full(N_s, S0), S_curr=S0, s_min=S0, trend=0.0)
-
-
-@dataclass
 class SimConfig:
     """Complete, validated configuration of one Monte Carlo run."""
 
@@ -190,6 +170,8 @@ class SimConfig:
             )
         if self.n_iters < 0:
             raise ConfigurationError("n_iters must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if not (0.0 <= self.rho_C0 <= 1.0):
             raise ConfigurationError("rho_C0 must lie in [0, 1]")
         if self.S0 <= 0.0:
@@ -267,7 +249,7 @@ class _Workspace(dict):
 
 def binary_interact(y, y_star, phi_val: float, eta, eta_star,
                     params: ModelParams, out=None):
-    """Apply one symmetric binary opinion interaction; scalars or arrays.
+    """Apply one symmetric binary opinion interaction to arrays of pairs.
 
     Returns (y', y_star', rejected).  Where either proposed output leaves
     [-1, 1] the interaction is void and both partners keep their states;
@@ -275,15 +257,13 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
     ``out``, three arrays shaped like ``y``, receives y' and y_star' and
     serves as scratch when given.
     """
-    ya = np.asarray(y, dtype=float)
-    ysa = np.asarray(y_star, dtype=float)
     a1, a2 = params.alpha1, params.alpha2
     y_buf, ys_buf, tmp = (None, None, None) if out is None else out
     proposed = []
-    for u, partner, noise, new in ((ya, ysa, eta, y_buf),
-                                   (ysa, ya, eta_star, ys_buf)):
+    for u, partner, noise, new in ((y, y_star, eta, y_buf),
+                                   (y_star, y, eta_star, ys_buf)):
         # a1 H(u) (partner - u) + D(u) noise + (1 - a2) u + a2 phi, summed left
-        # to right; the in-place steps apply to arrays (not to scalars)
+        # to right
         t = herding(params, u, out=tmp)
         t *= a1
         new = np.subtract(partner, u, out=new)
@@ -297,13 +277,9 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
     y_new, ys_new = proposed
     rejected = np.abs(y_new, out=tmp) > 1.0
     rejected |= np.abs(ys_new, out=tmp) > 1.0
-    if ya.ndim == 0 and ysa.ndim == 0:
-        if rejected:
-            return float(ya), float(ysa), True
-        return float(y_new), float(ys_new), False
     if rejected.any():
-        np.copyto(y_new, ya, where=rejected)
-        np.copyto(ys_new, ysa, where=rejected)
+        np.copyto(y_new, y, where=rejected)
+        np.copyto(ys_new, y_star, where=rejected)
     return y_new, ys_new, rejected
 
 
@@ -347,10 +323,11 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     return int(np.count_nonzero(rejected))
 
 
-def step_price(prices: PriceEnsemble, Y: float, rho_C: float,
+def step_price(s: np.ndarray, Y: float, rho_C: float,
                params: ModelParams, dt: float, rng,
-               work: _Workspace | None = None) -> PriceEnsemble:
-    """Update every price sample independently and refresh the trend estimate.
+               work: _Workspace | None = None) -> float:
+    """Update every price sample of ``s`` independently, in place, and return
+    the smallest.
 
     rho_C is the chartist share (rho_F = 1 - rho_C).  Drift and noise variance
     scale with dt; before any sample is touched, the noise is checked against
@@ -359,7 +336,6 @@ def step_price(prices: PriceEnsemble, Y: float, rho_C: float,
     s' = s (1 + dt beta slope + eta) + dt beta intercept, one pass in place.
     """
     c = price_noise_halfwidth(params, rho_C, dt)
-    s = prices.samples
     scale = dt * params.beta
     intercept = price_drift(params, 0.0, Y, rho_C)
     slope = price_drift(params, 1.0, Y, rho_C) - intercept
@@ -376,11 +352,7 @@ def step_price(prices: PriceEnsemble, Y: float, rho_C: float,
             f"price sample {int(np.argmin(s))} became negative ({s_min}) "
             f"despite an admissible noise support; rho_C={rho_C}, dt={dt}"
         )
-    S_prev = prices.S_curr
-    prices.s_min, prices.S_curr = s_min, float(s.mean())
-    prices.trend = (prices.S_curr - S_prev) / (dt * prices.S_curr) \
-        if prices.S_curr > 0.0 else 0.0
-    return prices
+    return s_min
 
 
 def _switch_probabilities(params: ModelParams, dt: float, rho_other: float,
@@ -459,17 +431,21 @@ def _recenter(y: np.ndarray) -> None:
 def run(config: SimConfig) -> Trajectory:
     """Run the full coupled simulation and return its recorded trajectory.
 
-    Deterministic for a fixed seed.  Each iteration executes: (1) refresh of
-    the frozen market state, (2) chartist pair interactions (followed by mean
-    re-centering when ``pin_mean`` is set), (3) strategy exchange when
-    enabled, (4) price-sample updates.  Statistics are recorded after step 4;
-    the trajectory has n_iters + 1 records.
+    Deterministic for a fixed seed.  Each iteration executes: (1) reading the
+    frozen market state from the last records, (2) chartist pair interactions
+    (followed by mean re-centering when ``pin_mean`` is set), (3) strategy
+    exchange when enabled, (4) price-sample updates.  Statistics are recorded
+    after step 4; the trajectory has n_iters + 1 records.
     """
-    params = config.params
+    params, dt, S0 = config.params, config.dt, float(config.S0)
     init_rng, pair_rng, switch_rng, price_rng = _streams(config.seed)
 
-    ensemble = AgentEnsemble.initialize(config, init_rng)
-    prices = PriceEnsemble.initialize(config.N_s, config.S0)
+    # round(rho_C0 N) chartists drawn from the law chartist_init names
+    n_c = int(round(config.rho_C0 * config.N))
+    ensemble = AgentEnsemble(
+        y=_init_law(config.chartist_init, params)(init_rng, n_c),
+        n_fundamentalists=config.N - n_c)
+    s = np.full(config.N_s, S0)
 
     n_rec = config.n_iters + 1
     t, S, Y, rho_C, rho_F, E, max_abs_y, min_price = np.empty((8, n_rec))
@@ -477,10 +453,11 @@ def run(config: SimConfig) -> Trajectory:
     rejected, switch_cf, switch_fc = np.zeros((3, n_rec), dtype=np.int64)
     work = _Workspace()
 
-    def record(i: int) -> None:
-        y, s = ensemble.y, prices.samples
-        t[i] = i * config.dt
-        S[i] = prices.S_curr
+    def record(i: int, s_min: float) -> None:
+        y = ensemble.y
+        t[i] = i * dt
+        # record 0 keeps S0 as given: the mean of N_s copies may round off it
+        S[i] = s.mean() if i else S0
         Y[i] = ensemble.mean_propensity()
         rho_C[i] = rc = y.size / ensemble.N
         rho_F[i] = 1.0 - rc
@@ -489,26 +466,27 @@ def run(config: SimConfig) -> Trajectory:
         E[i] = np.einsum("i,i->", s, s) / s.size
         n_chart[i] = y.size
         max_abs_y[i] = max(y.max(), -y.min()) if y.size else 0.0
-        min_price[i] = prices.s_min
+        min_price[i] = s_min
 
-    record(0)
+    record(0, S0)
     for i in range(1, n_rec):
-        # the market state frozen for this iteration is the last record's
-        phi = value_function(config.value_spec, prices.trend)
-        rejected[i] = step_chartists(ensemble, phi, params, config.dt, pair_rng, work)
+        # the market state frozen for this iteration is the last records'
+        trend = (S[i - 1] - S[i - 2]) / (dt * S[i - 1]) if i > 1 and S[i - 1] > 0.0 else 0.0
+        phi = value_function(config.value_spec, trend)
+        rejected[i] = step_chartists(ensemble, phi, params, dt, pair_rng, work)
         if config.pin_mean:
             _recenter(ensemble.y)
         if config.enable_switching:
             switch_cf[i], switch_fc[i] = step_strategy_exchange(
-                ensemble, prices.S_curr, prices.trend, params, config.dt, switch_rng)
-        step_price(prices, float(Y[i - 1]), float(rho_C[i - 1]), params,
-                   config.dt, price_rng, work)
-        record(i)
+                ensemble, float(S[i - 1]), trend, params, dt, switch_rng)
+        s_min = step_price(s, float(Y[i - 1]), float(rho_C[i - 1]), params, dt,
+                           price_rng, work)
+        record(i, s_min)
 
     return Trajectory(
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,
         max_abs_y=max_abs_y, min_price=min_price, rejected=rejected,
         switch_cf=switch_cf, switch_fc=switch_fc, N=config.N,
         y_final=ensemble.y.copy(),
-        s_final=prices.samples.copy(),
+        s_final=s.copy(),
     )

@@ -207,6 +207,14 @@ class TestMainCommand:
         assert "ERROR:config:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_exits_one_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--seed", "-3",
+                     "--out", str(out)] + SMALL) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:config:") and "seed" in err, err
+        assert not out.exists()
+
     def test_inadmissible_opinion_noise_in_a_config_writes_nothing(self, tmp_path,
                                                                    capsys):
         # the key passes the config schema; the parameters refuse the noise
@@ -309,18 +317,24 @@ class TestMainCommand:
          ("chartist_fp.csv", "kappa", "l1_chartist")),
         ("test1", "sigma2_opinion=2e-9\n",
          ("chartist_fp.csv", "kappa", "l1_chartist")),
+        ("test1", "herding_a=0.5\n", ("chartist_fp.csv", "kappa", "l1_chartist")),
+        ("test1", "herding_a=0.0\nherding_b=1.0\n",
+         ("chartist_fp.csv", "kappa", "l1_chartist")),
+        ("test1", "gamma_diff=0.5\n", ("chartist_fp.csv", "kappa", "l1_chartist")),
         ("test1", "zeta2_price=0.0\npin_mean=false\nchartist_init=constant:-0.5\n",
          ("lognormal_fp.csv", "ks_lognormal", "log_mean_fit", "log_var_fit")),
     ], ids=["gamma_f-0", "beta-0", "sigma2-0", "alphas-0", "kappa-1e-7",
-            "falling-price"])
+            "herding_a-0.5", "herding_b-1", "gamma_diff-0.5", "falling-price"])
     def test_overlay_without_a_law_is_left_out(self, tmp_path, capsys, name,
                                                lines, skipped):
         # mu = 1 + 2 beta rho_F gamma_f / zeta2 is 1 without a restoring
         # force, and kappa = sigma2 / (alpha1 + alpha2) is 0 or nan: no
         # steady law to overlay, but the run itself is sound.  At kappa =
-        # 1e-7 the opinion peak is narrower than the normalization's nodes,
-        # and a lognormal law of mean S0 has a second moment above S0^2: a
-        # falling noiseless price has none
+        # 1e-7 the opinion peak is narrower than the normalization's nodes.
+        # The opinion equilibrium's closed form needs H = 1 and D = 1 - y^2:
+        # other herding or diffusion profiles have none.  A lognormal law of
+        # mean S0 has a second moment above S0^2: a falling noiseless price
+        # has none
         cfg = tmp_path / "c.txt"
         cfg.write_text(lines)
         out = tmp_path / "r"

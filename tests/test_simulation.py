@@ -23,7 +23,6 @@ from kinmarket.model import (
 )
 from kinmarket.simulation import (
     AgentEnsemble,
-    PriceEnsemble,
     SimConfig,
     Trajectory,
     binary_interact,
@@ -66,10 +65,18 @@ def small_config(**over):
     return SimConfig(**defaults)
 
 
+def interact_one(y, y_star, phi, eta, eta_star, params):
+    """binary_interact on one pair, passed as 1-element arrays; returns the
+    pair's y', y_star' and rejected flag."""
+    y1, y2, rej = binary_interact(np.array([y]), np.array([y_star]), phi,
+                                  np.array([eta]), np.array([eta_star]), params)
+    return y1[0], y2[0], rej[0]
+
+
 class TestBinaryInteract:
     def test_identity_without_coupling(self):
         p = ModelParams(alpha1=0.0, alpha2=0.0, sigma2_opinion=0.0)
-        y1, y2, rej = binary_interact(0.37, -0.9, 0.5, 0.0, 0.0, p)
+        y1, y2, rej = interact_one(0.37, -0.9, 0.5, 0.0, 0.0, p)
         assert (y1, y2) == (0.37, -0.9)
         assert not rej
 
@@ -77,7 +84,7 @@ class TestBinaryInteract:
         # constant H and no market coupling: y' + y*' = y + y*
         p = ModelParams(alpha1=0.1, alpha2=0.0, herding_a=1.0, herding_b=0.0,
                         sigma2_opinion=0.0)
-        y1, y2, rej = binary_interact(1.0, -1.0, 0.0, 0.0, 0.0, p)
+        y1, y2, rej = interact_one(1.0, -1.0, 0.0, 0.0, 0.0, p)
         assert y1 == pytest.approx(0.8, abs=1e-15)
         assert y2 == pytest.approx(-0.8, abs=1e-15)
         assert y1 + y2 == pytest.approx(0.0, abs=1e-15)
@@ -85,14 +92,14 @@ class TestBinaryInteract:
 
     def test_market_coupling_pulls_toward_phi(self):
         p = ModelParams(alpha1=0.0, alpha2=0.5, sigma2_opinion=0.0)
-        y1, _, _ = binary_interact(0.0, 0.0, 1.0, 0.0, 0.0, p)
+        y1, _, _ = interact_one(0.0, 0.0, 1.0, 0.0, 0.0, p)
         assert y1 == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_range_interaction_is_void(self):
         # gamma_diff != 1 has no analytic noise-support bound: a large noise
         # draw may push past +-1, in which case both partners keep their state
         p = ModelParams(alpha1=0.0, alpha2=0.0, gamma_diff=2.0)
-        y1, y2, rej = binary_interact(0.9, 0.0, 0.0, 3.0, 0.0, p)
+        y1, y2, rej = interact_one(0.9, 0.0, 0.0, 3.0, 0.0, p)
         assert rej
         assert (y1, y2) == (0.9, 0.0)
 
@@ -111,9 +118,9 @@ class TestBinaryInteract:
         eta = np.array([0.05, -0.1, 0.02])
         eta_s = np.array([eta_s0, 0.08, -0.03])
         v1, v2, vr = binary_interact(y, ys, 0.3, eta, eta_s, params)
+        # each pair as if it were alone
         for i in range(3):
-            s1, s2, sr = binary_interact(y[i], ys[i], 0.3, eta[i], eta_s[i],
-                                         params)
+            s1, s2, sr = interact_one(y[i], ys[i], 0.3, eta[i], eta_s[i], params)
             assert v1[i] == s1 and v2[i] == s2 and vr[i] == sr
         assert vr[0] == (eta_s0 != 0.0)
         # the same bits when written into caller-owned buffers
@@ -192,44 +199,49 @@ class TestStepChartists:
 class TestStepPrice:
     def test_frozen_without_drift_and_noise(self):
         p = ModelParams(zeta2_price=0.0)
-        prices = PriceEnsemble.initialize(100, 10.0)
-        step_price(prices, 0.0, 1.0, p, 1.0, np.random.default_rng(0))
-        assert np.all(prices.samples == 10.0)
-        assert prices.trend == 0.0
+        s = np.full(100, 10.0)
+        assert step_price(s, 0.0, 1.0, p, 1.0, np.random.default_rng(0)) == 10.0
+        assert np.all(s == 10.0)
 
     def test_chartist_drift_hand_value(self):
         p = ModelParams(beta=0.1, t_C=1.0, zeta2_price=0.0)
-        prices = PriceEnsemble.initialize(10, 10.0)
-        step_price(prices, 0.2, 1.0, p, 1.0, np.random.default_rng(0))
-        assert np.allclose(prices.samples, 10.2)
-        assert prices.S_curr == pytest.approx(10.2, rel=1e-15)
+        s = np.full(10, 10.0)
+        s_min = step_price(s, 0.2, 1.0, p, 1.0, np.random.default_rng(0))
+        assert np.allclose(s, 10.2)
+        assert s.mean() == pytest.approx(10.2, rel=1e-15)
+        assert s_min == s.min()
 
     def test_fundamentalist_geometric_contraction(self):
         p = ModelParams(beta=0.1, gamma_f=1.3, S_F=20.0, zeta2_price=0.0)
-        prices = PriceEnsemble.initialize(10, 10.0)
+        s = np.full(10, 10.0)
         rng = np.random.default_rng(0)
         gap = 10.0 - 20.0
         for _ in range(10):
-            step_price(prices, 0.0, 0.0, p, 1.0, rng)
+            s_min = step_price(s, 0.0, 0.0, p, 1.0, rng)
             gap *= 1.0 - 0.1 * 1.3
-            assert prices.S_curr == pytest.approx(20.0 + gap, rel=1e-13)
+            assert s.mean() == pytest.approx(20.0 + gap, rel=1e-13)
+            assert s_min == s.min()
 
     def test_inadmissible_variance_rejected(self):
+        # refused before any sample is touched
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.3, zeta2_price=0.4)
-        prices = PriceEnsemble.initialize(10, 10.0)
+        s = np.linspace(5.0, 15.0, 10)
+        before = s.copy()
         with pytest.raises(ConfigurationError) as err:
-            step_price(prices, 0.0, 0.5, p, 1.0, np.random.default_rng(0))
+            step_price(s, 0.0, 0.5, p, 1.0, np.random.default_rng(0))
         assert "maximum admissible" in str(err.value)
+        assert np.array_equal(s, before)
 
     def test_samples_stay_nonnegative_at_maximal_noise(self):
         # variance exactly at the admissible bound: s' >= 0 must still hold
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.3,
                         zeta2_price=0.885 ** 2 / 3.0 * 0.9999)
-        prices = PriceEnsemble.initialize(20000, 10.0)
+        s = np.full(20000, 10.0)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            step_price(prices, -1.0, 0.5, p, 1.0, rng)
-        assert prices.samples.min() >= 0.0
+            s_min = step_price(s, -1.0, 0.5, p, 1.0, rng)
+            assert s_min == s.min()
+        assert s.min() >= 0.0
 
 
 class TestStrategyExchange:
@@ -548,6 +560,33 @@ class TestRun:
                             lambda *args: 0)
         np.testing.assert_allclose(run(cfg).S, want, rtol=1e-12, atol=0.0)
 
+    def test_trend_is_read_from_the_last_two_records(self, monkeypatch):
+        # iteration i reacts to the price move of the step before it:
+        # (S[i-1] - S[i-2]) / (dt S[i-1]) of the returned trajectory, 0 at
+        # i = 1, both in the market target and in the strategy exchange
+        sim = kinmarket.simulation
+        value, exchange = sim.value_function, sim.step_strategy_exchange
+        targets, exchanges = [], []
+
+        def seen_value(spec, x):
+            targets.append(x)
+            return value(spec, x)
+
+        def seen_exchange(ensemble, S, trend, *args):
+            exchanges.append((S, trend))
+            return exchange(ensemble, S, trend, *args)
+
+        monkeypatch.setattr(sim, "value_function", seen_value)
+        monkeypatch.setattr(sim, "step_strategy_exchange", seen_exchange)
+        cfg = preset("test3a", {"N": 500, "N_s": 500, "n_iters": 40,
+                                "dt": 0.3}).sim
+        S = run(cfg).S
+        want = [0.0] + [(S[i - 1] - S[i - 2]) / (cfg.dt * S[i - 1])
+                        for i in range(2, cfg.n_iters + 1)]
+        assert np.count_nonzero(want) == cfg.n_iters - 1
+        assert targets == want
+        assert exchanges == list(zip(S[:-1], want))
+
     def test_one_mean_propensity_per_iteration(self, monkeypatch):
         calls = []
         mean = AgentEnsemble.mean_propensity
@@ -641,6 +680,8 @@ class TestRun:
             small_config(S0=0.0)
         with pytest.raises(ConfigurationError):
             small_config(chartist_init="nope")
+        with pytest.raises(ConfigurationError, match="seed"):
+            small_config(seed=-1)
 
 
 
