@@ -15,16 +15,8 @@ overlays and ``summary.txt`` (key=value report).  ``trajectory.csv`` holds,
 per iteration, ``iter,t,S,Y,rho_C,rho_F,E,max_abs_y,min_price`` and the
 iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
 fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
-The analytic overlays (two-column CSV) follow from the populations: with
-switching off, a market of chartists alone gets ``chartist_fp.csv`` (opinion
-equilibrium, only where its closed form holds: herding_a = 1, herding_b = 0
-and gamma_diff = 1, i.e. H = 1 and D = 1 - y^2, at a positive finite kappa it
-can normalize) and
-``lognormal_fp.csv`` (price, when the terminal second moment E_T exceeds S0^2,
-as that of every lognormal law of mean S0 does), and one with fundamentalists
-gets ``pareto_fp.csv`` (when its tail exponent exceeds 1) and a 200-bin price
-histogram, and ``hill_scan.csv`` (fat price tail) when its 200 or more prices
-are not all equal; a switching run gets none.
+Which overlays a run gets is stated by the conditions of ``_analyze_outputs``
+and, in prose, by the run-directory table of the README.
 All randomness is controlled by the seed (--seed, else the config file's, else
 0); two runs with identical flags produce identical files.
 
@@ -60,6 +52,17 @@ from .simulation import STREAM_LAYOUT, SimConfig, Trajectory, run
 __all__ = ["ExperimentConfig", "preset", "preset_names", "classify_regime",
            "main", "entry"]
 
+# test1 and test2 share everything but the price noise, the run length and
+# the initial market.
+_TEST12_COMMON = dict(
+    alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02, beta=0.1,
+    t_C=1.0, gamma_f=1.3, S_F=20.0, dividend=0.0,
+    k_discount=0.75, mu_freq=0.2, sigma_switch=0.8,
+    herding_a=1.0, herding_b=0.0, gamma_diff=1.0,
+    L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
+    N=50000, N_s=50000, dt=1.0, enable_switching=False, pin_mean=True,
+)
+
 # The three test3 variants share everything but the interaction weights.
 _TEST3_COMMON = dict(
     sigma2_opinion=5e-4, beta=6.0, zeta2_price=2.5e-3, t_C=0.02, gamma_f=0.1,
@@ -73,26 +76,12 @@ _TEST3_COMMON = dict(
 PRESETS: dict[str, dict] = {
     # pure chartists relaxing to the bimodal opinion equilibrium around a
     # constant price; the unstable Y=0 point is held by mean re-centering
-    "test1": dict(
-        alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02, beta=0.1,
-        zeta2_price=5e-4, t_C=1.0, gamma_f=1.3, S_F=20.0, dividend=0.0,
-        k_discount=0.75, mu_freq=0.2, sigma_switch=0.8,
-        herding_a=1.0, herding_b=0.0, gamma_diff=1.0,
-        L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
-        N=50000, N_s=50000, dt=1.0, n_iters=1500, enable_switching=False,
-        S0=10.0, rho_C0=1.0, chartist_init="symmetric_uniform", pin_mean=True,
-    ),
+    "test1": dict(_TEST12_COMMON, zeta2_price=5e-4, n_iters=1500, S0=10.0,
+                  rho_C0=1.0, chartist_init="symmetric_uniform"),
     # balanced fixed populations around the fundamental price: the price law
     # relaxes to the fat-tailed steady state
-    "test2": dict(
-        alpha1=0.01, alpha2=0.01, sigma2_opinion=0.02, beta=0.1,
-        zeta2_price=0.13, t_C=1.0, gamma_f=1.3, S_F=20.0, dividend=0.0,
-        k_discount=0.75, mu_freq=0.2, sigma_switch=0.8,
-        herding_a=1.0, herding_b=0.0, gamma_diff=1.0,
-        L=1.0, R0=0.0, r_exp=0.5, l_exp=0.25,
-        N=50000, N_s=50000, dt=1.0, n_iters=1000, enable_switching=False,
-        S0=20.0, rho_C0=0.5, chartist_init="equilibrium", pin_mean=True,
-    ),
+    "test2": dict(_TEST12_COMMON, zeta2_price=0.13, n_iters=1000, S0=20.0,
+                  rho_C0=0.5, chartist_init="equilibrium"),
     "test3a": dict(_TEST3_COMMON, alpha1=0.2, alpha2=0.55),
     "test3b": dict(_TEST3_COMMON, alpha1=0.2, alpha2=0.7),
     "test3c": dict(_TEST3_COMMON, alpha1=0.5, alpha2=0.4),
@@ -205,11 +194,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_keyvalues(path: Path, table: dict, header: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(header)
-        for k, v in table.items():
-            fh.write(f"{k}={_fmt(v)}\n")
+def _keyvalues(table: dict) -> str:
+    """The text of config.txt and summary.txt: one key=value line per entry."""
+    return "".join(f"{k}={_fmt(v)}\n" for k, v in table.items())
 
 
 def _config_table(config: ExperimentConfig) -> dict:
@@ -219,13 +206,6 @@ def _config_table(config: ExperimentConfig) -> dict:
     table.update({k: getattr(s, k) for k in _SIM_FIELDS})
     table["preset"] = config.preset
     return table
-
-
-def _write_overlay(path: Path, x: np.ndarray, density: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,density\n")
-        for a, b in zip(x, density):
-            fh.write(f"{a:.17g},{b:.17g}\n")
 
 
 def _lognormal_overlay_grid(m: float, v: float) -> np.ndarray:
@@ -257,7 +237,8 @@ def _load(path: Path, **kwargs) -> np.ndarray:
 
 def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     """Histograms, overlays and the summary table of the run directory ``out``,
-    from its trajectory.csv and terminal samples (see the module docstring).
+    from its trajectory.csv and terminal samples.  Each block is written
+    under the whole condition its law needs.
 
     After writing the summary, raises InvariantViolation at the first row
     that breaks the population bookkeeping, |y| <= 1 or s >= 0.
@@ -279,6 +260,12 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     y = _load(out / "y_samples.txt", ndmin=1)
     s = _load(out / "s_samples.txt", ndmin=1)
     n_chartists = np.round(traj.rho_C * N)
+    # the last row's chartists, and N_s prices
+    for name, a, count in (("y_samples.txt", y, n_chartists[-1]),
+                           ("s_samples.txt", s, config.sim.N_s)):
+        if a.size != count:
+            raise ConfigurationError(f"{out / name} holds {a.size} values, "
+                                     f"not {count:.0f}")
     # per row: a whole number of agents in [0, N], rho_C + rho_F exactly 1,
     # and (failing on nan too) |y| <= 1 and s >= 0
     broken = {
@@ -303,79 +290,73 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         "interaction_rejections": int(traj.rejected.sum()),
         "switches_to_fundamentalist": int(traj.switch_cf.sum()),
         "switches_to_chartist": int(traj.switch_fc.sum()),
-        "min_price_terminal": float(s.min()) if s.size else 0.0,
+        "min_price_terminal": float(s.min()),
         "max_abs_y_terminal": float(np.abs(y).max()) if y.size else 0.0,
         "rho_sum_exact": not broken["rho_F"].any(),
         "n_agents_constant": not broken["rho_C"].any(),
     }
 
+    # the closed forms hold for fixed populations: chartists alone, or a
+    # share rho_F of fundamentalists
     fixed = not config.sim.enable_switching
     rho_F = float(traj.rho_F[-1])
+    E_T, S0 = float(traj.E[-1]), config.sim.S0
     if y.size:
         y_hist = stats.Histogram.from_samples(y, bins=100, range=(-1.0, 1.0))
         y_hist.to_csv(out / "y_hist.csv")
-    else:
-        y_hist = None
-    s_hist = stats.Histogram.from_samples(
-        s, bins=200 if fixed and rho_F > 0.0 else 100)
-    s_hist.to_csv(out / "s_hist.csv")
-
+    s_bins = 200 if fixed and rho_F > 0.0 else 100
+    stats.Histogram.from_samples(s, bins=s_bins).to_csv(out / "s_hist.csv")
     if traj.S.size >= 200:
         summary["regime"] = classify_regime(traj, p.S_F)
-
-    if fixed and rho_F == 0.0:
-        # the closed form holds at H = 1 and D = 1 - y^2 alone
-        closed_form = (p.herding_a, p.herding_b, p.gamma_diff) == (1.0, 0.0, 1.0)
+    # the opinion equilibrium's closed form holds at H = 1 and D = 1 - y^2 alone
+    if (fixed and rho_F == 0.0 and y.size
+            and (p.herding_a, p.herding_b, p.gamma_diff) == (1.0, 0.0, 1.0)):
         try:  # none at kappa 0 or nan, nor normalizable at kappa = 1e-7
-            eq = fp.symmetric_equilibrium(p.kappa) if closed_form else None
+            eq = fp.symmetric_equilibrium(p.kappa)
         except (ValueError, NumericsError):
-            eq = None
-        if y_hist is not None and eq is not None:
+            pass
+        else:
             grid = np.linspace(-1.0, 1.0, 801)
-            _write_overlay(out / "chartist_fp.csv", grid, eq(grid))
+            stats.write_columns(out / "chartist_fp.csv", "x,density", grid, eq(grid))
             summary["kappa"] = eq.kappa
             summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
-        E_T = float(traj.E[-1])
-        S_ref = config.sim.S0
-        if E_T > S_ref * S_ref:
-            grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S_ref, E_T))
-            _write_overlay(out / "lognormal_fp.csv", grid,
-                           fp.lognormal_price_density(grid, S_ref, E_T))
-            summary["lognormal_S_ref"] = S_ref
-            summary["lognormal_E"] = E_T
-            summary["ks_lognormal"] = stats.ks_statistic(
-                s, lambda x: fp.lognormal_price_cdf(x, S_ref, E_T))
-            fit_m, fit_v = stats.lognormal_fit(s)
-            summary["log_mean_fit"] = fit_m
-            summary["log_var_fit"] = fit_v
-
+    # every lognormal law of mean S0 has a second moment above S0^2
+    if fixed and rho_F == 0.0 and E_T > S0 * S0:
+        grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S0, E_T))
+        stats.write_columns(out / "lognormal_fp.csv", "x,density", grid,
+                            fp.lognormal_price_density(grid, S0, E_T))
+        summary["lognormal_S_ref"] = S0
+        summary["lognormal_E"] = E_T
+        summary["ks_lognormal"] = stats.ks_statistic(
+            s, lambda x: fp.lognormal_price_cdf(x, S0, E_T))
+        summary["log_mean_fit"], summary["log_var_fit"] = stats.lognormal_fit(s)
     if fixed and rho_F > 0.0 and p.zeta2_price > 0.0:
         try:
             state = fp.pareto_steady_state(p, rho_F)
         except ValueError:  # mu <= 1: no steady law without a restoring force
-            state = None
-        if state is not None:
+            pass
+        else:
             grid = np.geomspace(max(1e-3, float(np.quantile(s, 1e-3))),
                                 float(s.max()), 801)
-            _write_overlay(out / "pareto_fp.csv", grid, state.pdf(grid))
+            stats.write_columns(out / "pareto_fp.csv", "x,density", grid,
+                                state.pdf(grid))
             summary["mu_exp"] = state.mu_exp
-        # the Hill estimates need k = 5% of the prices to be at least 10, and
-        # a tail without ties; the diagnostic plateau scan takes k in [1%, 10%]
-        if s.size >= 200 and s.min() < s.max():
-            scan = stats.hill_plateau(s)
-            with open(out / "hill_scan.csv", "w") as fh:
-                fh.write("k,estimate\n")
-                for k, est in zip(scan.k_values, scan.estimates):
-                    fh.write(f"{int(k)},{est:.17g}\n")
-            summary["hill_plateau_found"] = scan.plateau_found
-            summary["hill_plateau_mean"] = float(scan.estimates.mean())
-            k_default = int(0.05 * s.size)
-            summary["hill_k"] = k_default
-            summary["hill_estimate"] = stats.hill_tail_index(s, k_default)
-        summary["price_mean"] = float(s.mean())
-        summary["price_mean_rel_err"] = abs(summary["price_mean"] - p.S_F) / p.S_F
+    # the Hill estimates need k = 5% of the prices to be at least 10, and a
+    # tail without ties; the diagnostic plateau scan takes k in [1%, 10%]
+    if (fixed and rho_F > 0.0 and p.zeta2_price > 0.0
+            and s.size >= 200 and s.min() < s.max()):
+        scan = stats.hill_plateau(s)
+        stats.write_columns(out / "hill_scan.csv", "k,estimate", scan.k_values,
+                            scan.estimates)
+        summary["hill_plateau_found"] = scan.plateau_found
+        summary["hill_plateau_mean"] = float(scan.estimates.mean())
+        summary["hill_k"] = k = int(0.05 * s.size)
+        summary["hill_estimate"] = stats.hill_tail_index(s, k)
+    if fixed and rho_F > 0.0 and p.zeta2_price > 0.0:
+        summary["price_mean"] = price_mean = float(s.mean())
+        summary["price_mean_rel_err"] = abs(price_mean - p.S_F) / p.S_F
 
-    _write_keyvalues(out / "summary.txt", summary)
+    (out / "summary.txt").write_text(_keyvalues(summary))
     for column, bad in broken.items():
         if bad.any():
             i = int(np.argmax(bad))
@@ -393,8 +374,8 @@ def run_experiment(config: ExperimentConfig, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     for name in _OUTPUTS:
         (out / name).unlink(missing_ok=True)
-    _write_keyvalues(out / "config.txt", _config_table(config),
-                     f"# random streams: {STREAM_LAYOUT}\n")
+    (out / "config.txt").write_text(f"# random streams: {STREAM_LAYOUT}\n"
+                                    + _keyvalues(_config_table(config)))
     traj.to_csv(out / "trajectory.csv")
     traj.write_samples(out / "y_samples.txt", out / "s_samples.txt")
     return _analyze_outputs(config, out)
@@ -482,8 +463,7 @@ def _build_parser() -> _Parser:
 
 
 def _print_summary(summary: dict) -> int:
-    for k, v in summary.items():
-        print(f"{k}={_fmt(v)}")
+    print(_keyvalues(summary), end="")
     return 0
 
 

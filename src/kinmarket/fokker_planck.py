@@ -5,7 +5,7 @@ dynamics of the chartist opinions and the per-sample price updates reduce to
 a pair of drift-diffusion equations.  This module evaluates their explicit
 long-time solutions:
 
-* the chartist equilibrium opinion density (for constant herding and the
+* the chartist equilibrium opinion density (for herding H = 1 and the
   quadratic diffusion profile D(y) = 1 - y^2),
 * the self-similar lognormal price law of the pure-chartist market,
 * the inverse-Gamma price steady state with Pareto tail that appears once
@@ -94,7 +94,7 @@ class ChartistEquilibrium:
     with kappa = sigma2_opinion / (alpha1 + alpha2), ``ModelParams.kappa``.
     Normalization to total mass rho_C happens once, at construction; the
     sampler's rejection bound, at the first draw.
-    Instances are otherwise immutable and safe to share across workers.
+    Instances are otherwise immutable.
     """
 
     def __init__(self, Y_star: float, kappa: float, rho_C: float = 1.0):

@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import fokker_planck as fp
+from . import stats
 from .model import (
     ConfigurationError,
     InvariantViolation,
@@ -159,8 +160,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_finite(self)
-        if self.N < 1 or self.N_s < 1:
-            raise ConfigurationError("ensemble sizes must be positive")
+        if self.N < 1:
+            raise ConfigurationError("N must be positive")
+        if self.N_s < 1:
+            raise ConfigurationError("N_s must be positive")
         if self.dt <= 0.0:
             raise ConfigurationError("dt must be positive")
         if self.dt > 1.0:
@@ -214,21 +217,12 @@ class Trajectory:
         return int(self.switch_fc.sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for i in range(self.S.size):
-                fh.write(
-                    f"{i},{self.t[i]:.17g},{self.S[i]:.17g},{self.Y[i]:.17g},"
-                    f"{self.rho_C[i]:.17g},{self.rho_F[i]:.17g},{self.E[i]:.17g},"
-                    f"{self.max_abs_y[i]:.17g},{self.min_price[i]:.17g},"
-                    f"{self.rejected[i]},{self.switch_cf[i]},{self.switch_fc[i]}\n"
-                )
+        stats.write_columns(path, ",".join(self.CSV_COLUMNS), np.arange(len(self)),
+                            *(getattr(self, c) for c in self.CSV_COLUMNS[1:]))
 
     def write_samples(self, y_path, s_path) -> None:
-        # the bytes of np.savetxt(path, a, fmt="%.17g"), in one format call
-        for path, a in ((y_path, self.y_final), (s_path, self.s_final)):
-            with open(path, "w") as fh:
-                fh.write(("%.17g\n" * a.size) % tuple(a.tolist()))
+        stats.write_columns(y_path, "", self.y_final)
+        stats.write_columns(s_path, "", self.s_final)
 
 
 class _Workspace(dict):

@@ -21,6 +21,7 @@ __all__ = [
     "l1_density_distance",
     "lognormal_fit",
     "ks_statistic",
+    "write_columns",
 ]
 
 
@@ -65,11 +66,23 @@ class Histogram:
         return cls(edges=edges, counts=counts, density=density)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("left_edge,right_edge,count,density\n")
-            for a, b, c, d in zip(self.edges[:-1], self.edges[1:],
-                                  self.counts, self.density):
-                fh.write(f"{a:.17g},{b:.17g},{int(c)},{d:.17g}\n")
+        write_columns(path, "left_edge,right_edge,count,density", self.edges[:-1],
+                      self.edges[1:], self.counts, self.density)
+
+
+def write_columns(path, header: str, *columns) -> None:
+    """Write the equal-length ``columns`` to ``path``: one comma-separated
+    row of "%.17g" values per index, under the line ``header`` unless it is
+    empty.  Every run-directory data file has this format.
+
+    The columns pass through float64, so an int column is written exactly up
+    to 2^53: above every count of a run, which is at most max(N, n_iters).
+    """
+    values = np.column_stack(columns).astype(float, copy=False)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write((header + "\n" if header else "")
+                 + (row * len(values)) % tuple(values.ravel().tolist()))
 
 
 def hill_tail_index(samples, k: int) -> float:

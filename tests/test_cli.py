@@ -215,6 +215,17 @@ class TestMainCommand:
         assert err.startswith("ERROR:config:") and "seed" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--n-agents", "N"),
+                                           ("--n-price-samples", "N_s")])
+    def test_empty_ensemble_exits_one_naming_the_key(self, tmp_path, capsys,
+                                                     flag, key):
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--out", str(out)]
+                    + SMALL + [flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:config:{key} must be"), err
+        assert not out.exists()
+
     def test_inadmissible_opinion_noise_in_a_config_writes_nothing(self, tmp_path,
                                                                    capsys):
         # the key passes the config schema; the parameters refuse the noise
@@ -594,8 +605,15 @@ class TestMainCommand:
          "no column max_abs_y, min_price, rejected, switch_cf, switch_fc"),
         ("trajectory.csv", lambda text: text.split("\n", 1)[0] + "\n",
          "holds 0 rows"),
+        # N_s = 400 prices, and round(rho_C N) = 200 chartists at the last row
+        ("s_samples.txt", lambda text: "".join(text.splitlines(True)[:300]),
+         "holds 300 values, not 400"),
+        ("y_samples.txt", lambda text: "".join(text.splitlines(True)[:10]),
+         "holds 10 values, not 200"),
+        ("s_samples.txt", lambda text: "", "holds 0 values, not 400"),
     ], ids=["y-samples", "s-samples", "trajectory-value", "trajectory-extra-value",
-            "trajectory-7-columns", "trajectory-no-rows"])
+            "trajectory-7-columns", "trajectory-no-rows", "s-samples-short",
+            "y-samples-short", "s-samples-empty"])
     def test_analyze_names_the_file_it_cannot_read(self, tmp_path, capsys, name,
                                                    edit, named):
         out = tmp_path / "r"
@@ -659,6 +677,23 @@ class TestNumpyOnly:
                 found += [f"{path.name}:{node.lineno}" for m in names
                           if m.split(".")[0] == "scipy"]
         assert found == []
+
+    def test_row_format_is_written_in_one_place(self):
+        # every data file of a run directory is rows of stats.write_columns;
+        # cli._fmt formats the key=value files.  A ".17g" anywhere else is a
+        # second copy of the row format
+        found = set()
+        for path in sorted(Path(kinmarket.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for fn in ast.walk(tree):  # outer functions first, inner overwrite
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((id(node), fn.name) for node in ast.walk(fn))
+            found |= {f"{path.stem}.{owner.get(id(node), '<module>')}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str) and ".17g" in node.value}
+        assert found == {"stats.write_columns", "cli._fmt"}
 
     def test_lognormal_overlay_grid_matches_erfinv(self):
         for m, v in ((2.3, 0.04), (0.0, 1.0), (-1.5, 3e-4)):
