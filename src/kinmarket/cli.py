@@ -241,7 +241,7 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     under the whole condition its law needs.
 
     After writing the summary, raises InvariantViolation at the first row
-    that breaks the population bookkeeping, |y| <= 1 or s >= 0.
+    holding a value no run writes, in the first column that has one.
     """
     p = config.sim.params
     N = config.sim.N
@@ -266,14 +266,20 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         if a.size != count:
             raise ConfigurationError(f"{out / name} holds {a.size} values, "
                                      f"not {count:.0f}")
-    # per row: a whole number of agents in [0, N], rho_C + rho_F exactly 1,
-    # and (failing on nan too) |y| <= 1 and s >= 0
+    # per row, failing on nan too, as every run writes them: whole agents in
+    # [0, N], rho_C + rho_F exactly 1, S and E finite and >= 0, |Y| and |y| <= 1,
+    # s >= 0, and whole counts >= 0
     broken = {
         "rho_C": ~((n_chartists >= 0) & (n_chartists <= N)
                    & (n_chartists / N == traj.rho_C)),
         "rho_F": traj.rho_C + traj.rho_F != 1.0,
+        "S": ~(np.isfinite(traj.S) & (traj.S >= 0.0)),
+        "Y": ~(np.abs(traj.Y) <= 1.0),
+        "E": ~(np.isfinite(traj.E) & (traj.E >= 0.0)),
         "max_abs_y": ~(traj.max_abs_y <= 1.0),
         "min_price": ~(traj.min_price >= 0.0),
+        **{c: ~(np.isfinite(n) & (n >= 0.0) & (n == np.round(n))) for c, n in
+           vars(traj).items() if c in ("rejected", "switch_cf", "switch_fc")},
     }
     summary: dict = {
         "preset": config.preset,
@@ -287,9 +293,10 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         "terminal_rho_C": float(traj.rho_C[-1]),
         "terminal_rho_F": float(traj.rho_F[-1]),
         "terminal_E": float(traj.E[-1]),
-        "interaction_rejections": int(traj.rejected.sum()),
-        "switches_to_fundamentalist": int(traj.switch_cf.sum()),
-        "switches_to_chartist": int(traj.switch_fc.sum()),
+        # whole for every run, so %.17g prints them as integers
+        "interaction_rejections": traj.rejected.sum(),
+        "switches_to_fundamentalist": traj.switch_cf.sum(),
+        "switches_to_chartist": traj.switch_fc.sum(),
         "min_price_terminal": float(s.min()),
         "max_abs_y_terminal": float(np.abs(y).max()) if y.size else 0.0,
         "rho_sum_exact": not broken["rho_F"].any(),
@@ -306,13 +313,13 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         y_hist.to_csv(out / "y_hist.csv")
     s_bins = 200 if fixed and rho_F > 0.0 else 100
     stats.Histogram.from_samples(s, bins=s_bins).to_csv(out / "s_hist.csv")
-    if traj.S.size >= 200:
+    if traj.S.size >= 200 and not broken["S"].any():
         summary["regime"] = classify_regime(traj, p.S_F)
     # the opinion equilibrium's closed form holds at H = 1 and D = 1 - y^2 alone
     if (fixed and rho_F == 0.0 and y.size
             and (p.herding_a, p.herding_b, p.gamma_diff) == (1.0, 0.0, 1.0)):
         try:  # none at kappa 0 or nan, nor normalizable at kappa = 1e-7
-            eq = fp.symmetric_equilibrium(p.kappa)
+            eq = fp.ChartistEquilibrium(0.0, p.kappa)
         except (ValueError, NumericsError):
             pass
         else:
@@ -320,8 +327,8 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
             stats.write_columns(out / "chartist_fp.csv", "x,density", grid, eq(grid))
             summary["kappa"] = eq.kappa
             summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
-    # every lognormal law of mean S0 has a second moment above S0^2
-    if fixed and rho_F == 0.0 and E_T > S0 * S0:
+    # every lognormal law of mean S0 has a finite second moment above S0^2
+    if fixed and rho_F == 0.0 and S0 * S0 < E_T < np.inf:
         grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S0, E_T))
         stats.write_columns(out / "lognormal_fp.csv", "x,density", grid,
                             fp.lognormal_price_density(grid, S0, E_T))
@@ -362,7 +369,7 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
             i = int(np.argmax(bad))
             raise InvariantViolation(
                 f"{path}: row {i}: {column}={float(getattr(traj, column)[i])} "
-                "breaks whole agents, rho_C + rho_F = 1, |y| <= 1 or s >= 0")
+                "is a value no run writes")
     return summary
 
 

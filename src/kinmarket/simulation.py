@@ -129,7 +129,7 @@ def _init_law(init: str, params: ModelParams) -> InitLaw:
     if init in _NAMED_INITS:
         return _NAMED_INITS[init]
     if init == "equilibrium":
-        return fp.symmetric_equilibrium(params.kappa).sample
+        return fp.ChartistEquilibrium(0.0, params.kappa).sample
     if isinstance(init, str) and init.startswith("constant:"):
         try:
             v = float(init.split(":", 1)[1])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 from scipy.special import erfinv
 
 import kinmarket
-import kinmarket.fokker_planck as fp
 from kinmarket.cli import (
     PRESETS,
     _lognormal_overlay_grid,
@@ -448,26 +448,6 @@ class TestMainCommand:
         for f in ("trajectory.csv", "y_samples.txt", "s_samples.txt"):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
-    def test_one_equilibrium_per_kappa_per_process(self, tmp_path, monkeypatch):
-        # a test2 run, its analyze and its replay share one equilibrium:
-        # one normalization and one rejection-bound grid
-        built, grids = [], []
-        init, density = fp.ChartistEquilibrium.__init__, fp.ChartistEquilibrium.__call__
-        monkeypatch.setattr(fp.ChartistEquilibrium, "__init__",
-                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
-        monkeypatch.setattr(fp.ChartistEquilibrium, "__call__",
-                            lambda self, y: grids.append(np.size(y))
-                            or density(self, y))
-        fp.symmetric_equilibrium.cache_clear()
-        out = tmp_path / "r"
-        assert main(["run", "--preset", "test2", "--seed", "4",
-                     "--out", str(out)] + SMALL) == 0
-        assert main(["analyze", "--out", str(out)]) == 0
-        assert main(["run", "--preset", "custom", "--config",
-                     str(out / "config.txt"), "--out", str(tmp_path / "re")]) == 0
-        assert built == [(0.0, 1.0)]
-        assert grids.count(100001) == 1
-
     def test_unnormalizable_equilibrium_exits_two_before_writing(self, tmp_path,
                                                                  capsys):
         # kappa = 2e-9 / 0.02 = 1e-7: the peak is narrower than the nodes
@@ -591,6 +571,38 @@ class TestMainCommand:
             assert "rho_sum_exact=true" in summary
         else:
             assert summary == original
+
+    @pytest.fixture(scope="class")
+    def switching_run(self, tmp_path_factory):
+        # test3a rejects, switches both ways and, at 220 iterations, is tagged
+        out = tmp_path_factory.mktemp("test3a") / "r"
+        assert main(["run", "--preset", "test3a", "--seed", "3", "--out", str(out),
+                     "--n-agents", "400", "--n-price-samples", "400",
+                     "--iters", "220"]) == 0
+        return out
+
+    @pytest.mark.parametrize("column, value", [
+        ("S", "nan"), ("S", "inf"), ("S", "-5"), ("E", "nan"), ("E", "-1"),
+        ("Y", "2"), ("Y", "-1.5"), ("rejected", "-3"), ("switch_cf", "0.5"),
+        ("switch_fc", "inf"),
+    ])
+    def test_analyze_rejects_a_value_no_run_writes(self, tmp_path, capsys,
+                                                   switching_run, column, value):
+        # a mean price and second moment are finite and >= 0, a mean opinion
+        # lies in [-1, 1], and the counters are whole and >= 0 at every row
+        out = tmp_path / "r"
+        shutil.copytree(switching_run, out)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        row = lines[101].split(",")
+        row[k] = value
+        lines[101] = ",".join(row)
+        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:numerical:"), err
+        assert f"row 100: {column}=" in err, err
 
     @pytest.mark.parametrize("name, edit, named", [
         ("y_samples.txt", lambda text: "x\n", "could not convert string 'x'"),

@@ -1,6 +1,7 @@
 """Closed-form oracles: densities, moments, ODE skeleton, classifier."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,33 +76,40 @@ class TestChartistEquilibrium:
         centers = 0.5 * (edges[:-1] + edges[1:])
         assert np.abs(hist - eq(centers)).mean() < 0.03
 
-    def test_sampler_bound_evaluated_once_with_the_same_draws(self, monkeypatch):
-        def per_call_sample(eq, rng, n):
-            # the sampler as it stood, with the bound found at every call
-            bound = 1.05 * float(np.max(eq(np.linspace(-1.0, 1.0, 100001))))
-            out, filled = np.empty(n), 0
-            while filled < n:
-                m = max(2 * (n - filled), 1024)
-                y = rng.uniform(-1.0, 1.0, m)
-                acc = y[rng.uniform(0.0, bound, m) < eq(y)]
-                take = min(acc.size, n - filled)
-                out[filled:filled + take] = acc[:take]
-                filled += take
-            return out
+    @pytest.mark.parametrize("kappa", [5.6e-4, 1e-2, 1.0, 100.0, 3000.0])
+    @pytest.mark.parametrize("y_star", [0.0, 0.3])
+    def test_sampler_inverts_the_quadrature_cdf(self, kappa, y_star):
+        # fed 41 fixed quantiles in place of uniforms, the sampler returns
+        # opinions whose CDF, by quad of the density in u = atanh(y), is
+        # within 1e-6 of each quantile; the test3 scale, 5.6e-4, is the hardest
+        q = np.linspace(0.01, 0.99, 41)
+        eq = ChartistEquilibrium(y_star, kappa)
+        y = eq.sample(SimpleNamespace(random=lambda n: q[:n]), q.size)
+        assert np.all(np.abs(y) < 1.0)
 
-        want = [per_call_sample(ChartistEquilibrium(0.2, 0.5),
-                                np.random.default_rng(seed), 3000)
-                for seed in (12, 13)]
-        sizes = []
-        density = ChartistEquilibrium.__call__
-        monkeypatch.setattr(ChartistEquilibrium, "__call__",
-                            lambda self, y: sizes.append(np.size(y))
-                            or density(self, y))
-        eq = ChartistEquilibrium(0.2, 0.5)
-        got = [eq.sample(np.random.default_rng(seed), 3000) for seed in (12, 13)]
-        assert sizes.count(100001) == 1
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        def integrand(u):
+            return float(eq(math.tanh(u))) / math.cosh(u) ** 2
+
+        # every kappa here keeps its mass inside |u| < 12; quad runs from
+        # quantile to quantile, so no segment holds more than 2.5% of it
+        cdf, lo, got = 0.0, -12.0, []
+        for x in np.arctanh(y):
+            cdf += quad(integrand, lo, x, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+            lo = x
+            got.append(cdf)
+        mass = cdf + quad(integrand, lo, 12.0, epsabs=1e-13, epsrel=1e-13,
+                          limit=500)[0]
+        assert np.abs(np.asarray(got) / mass - q).max() <= 1e-6
+
+    @pytest.mark.parametrize("kappa", [5.6e-4, 1.0])
+    def test_one_uniform_per_opinion(self, kappa):
+        # the draw count does not depend on kappa: n opinions advance the
+        # generator exactly as n uniforms do
+        eq = ChartistEquilibrium(0.0, kappa)
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        eq.sample(rng, 25000)
+        twin.random(25000)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("y_star", [0.0, 0.3])

@@ -10,7 +10,8 @@ same ``Generator`` streams across releases, so other versions fail the test
 rather than pass it.
 
 A change that alters output bytes on purpose rewrites the file, and says
-which lines changed and why:
+which lines changed and why.  Run as a script, it first prints the keys that
+changed, were added or were removed against the file it replaces:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -85,6 +86,13 @@ def test_outputs_keep_their_golden_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         table = digests(Path(d))
+    old = (dict(line.split(" ") for line in DIGESTS.read_text().splitlines()[1:])
+           if DIGESTS.exists() else {})
+    for change, keys in (
+            ("changed", [k for k in table if k in old and old[k] != table[k]]),
+            ("added", [k for k in table if k not in old]),
+            ("removed", [k for k in old if k not in table])):
+        print(f"{len(keys)} {change}" + "".join(f"\n  {k}" for k in keys))
     DIGESTS.write_text(_header() + "\n"
                        + "".join(f"{k} {v}\n" for k, v in table.items()))
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
