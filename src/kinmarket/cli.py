@@ -17,8 +17,9 @@ iteration's ``rejected`` interactions and switches ``switch_cf`` (chartist to
 fundamentalist) and ``switch_fc``; the summary's run totals are their sums.
 Which overlays a run gets is stated by the conditions of ``_analyze_outputs``
 and, in prose, by the run-directory table of the README.
-All randomness is controlled by the seed (--seed, else the config file's, else
-0); two runs with identical flags produce identical files.
+All randomness is controlled by the seed (--seed, else that of --set or the
+config file, else 0); two runs with identical flags produce identical files.
+Every config key is set the same way: a --config line or a --set KEY=VALUE.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-invariant failure.
 Errors are printed to stderr with the machine-readable prefix
@@ -392,20 +393,24 @@ def run_experiment(config: ExperimentConfig, out: Path) -> dict:
 # config files and argument parsing
 # --------------------------------------------------------------------------
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+_BOOLS = {"true": True, "1": True, "on": True, "yes": True,
+          "false": False, "0": False, "off": False, "no": False}
+
+
+def _parse_item(item: str, where: str) -> tuple:
+    """The key, as typed, and the value of one ``key=value`` item, a config
+    file line or a --set; ``where`` names the item in an error."""
+    if "=" not in item:
+        raise ConfigurationError(f"{where}: expected key=value, got {item!r}")
+    key, raw = (part.strip() for part in item.split("=", 1))
     kind = _SCHEMA.get(key)
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "on", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "off", "no"):
-            return False
-        raise ValueError(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    try:
+        if kind == "bool":
+            return key, _BOOLS[raw.lower()]
+        return key, {"int": int, "float": float}.get(kind, str)(raw)
+    except (KeyError, ValueError):
+        raise ConfigurationError(
+            f"{key}: cannot read {raw!r} as {kind} ({where})") from None
 
 
 def load_config_file(path) -> dict:
@@ -419,19 +424,10 @@ def load_config_file(path) -> dict:
         raise ConfigurationError(f"config file not found: {p}")
     for ln, line in enumerate(p.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{p}:{ln}: expected key=value, got {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key == "out":
-            continue
-        try:
-            table[key] = _parse_value(key, raw)
-        except ValueError:
-            raise ConfigurationError(f"{key}: cannot read {raw.strip()!r} as "
-                                     f"{_SCHEMA[key]} ({p}:{ln})") from None
+        if line:
+            key, value = _parse_item(line, f"{p}:{ln}")
+            if key != "out":
+                table[key] = value
     return table
 
 
@@ -452,15 +448,12 @@ def _build_parser() -> _Parser:
     runp.add_argument("--preset", default="custom",
                       help=f"one of: {', '.join(preset_names())}")
     runp.add_argument("--seed", type=int,
-                      help="RNG seed (default: the config file's, else 0)")
+                      help="RNG seed (default: that of --set or --config, else 0)")
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--config", help="key=value config file (overrides preset)")
-    runp.add_argument("--iters", type=int, help="override iteration count")
-    runp.add_argument("--n-agents", type=int, help="override agent count N")
-    runp.add_argument("--n-price-samples", type=int, help="override price sample count")
-    runp.add_argument("--zeta2", type=float, help="override price-noise variance")
-    runp.add_argument("--pin-mean", choices=["on", "off"],
-                      help="override mean re-centering")
+    runp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                      help="set one config key as a --config line would "
+                           "(repeatable; applies after --config, before --seed)")
 
     sub.add_parser("preset-list", help="list available presets")
 
@@ -475,16 +468,11 @@ def _print_summary(summary: dict) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides: dict = {}
-    if args.config:
-        overrides.update(load_config_file(args.config))
-        overrides.pop("preset", None)  # --preset names the run
-    pin_mean = None if args.pin_mean is None else args.pin_mean == "on"
-    for key, value in (("n_iters", args.iters), ("N", args.n_agents),
-                       ("N_s", args.n_price_samples), ("zeta2_price", args.zeta2),
-                       ("pin_mean", pin_mean), ("seed", args.seed)):
-        if value is not None:
-            overrides[key] = value
+    overrides = load_config_file(args.config) if args.config else {}
+    overrides.pop("preset", None)  # --preset names the run
+    overrides.update(_parse_item(item, "--set") for item in args.set)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     return _print_summary(run_experiment(preset(args.preset, overrides),
                                          Path(args.out)))
 

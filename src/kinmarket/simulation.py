@@ -125,11 +125,12 @@ _NAMED_INITS = {
 
 def _init_law(init: str, params: ModelParams) -> InitLaw:
     """The (rng, n) -> propensities law named ``init``; ``equilibrium`` is the
-    opinion equilibrium at Y* = 0 for the kappa of ``params``."""
+    opinion equilibrium at Y* = 0 for the kappa of ``params``, built when it
+    draws, so validating the name builds nothing."""
     if init in _NAMED_INITS:
         return _NAMED_INITS[init]
     if init == "equilibrium":
-        return fp.ChartistEquilibrium(0.0, params.kappa).sample
+        return lambda rng, n: fp.ChartistEquilibrium(0.0, params.kappa).sample(rng, n)
     if isinstance(init, str) and init.startswith("constant:"):
         try:
             v = float(init.split(":", 1)[1])

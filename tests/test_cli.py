@@ -1,5 +1,6 @@
 """Command-line interface: presets, regime tags, outputs, exit codes."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -13,8 +14,10 @@ import pytest
 from scipy.special import erfinv
 
 import kinmarket
+from kinmarket import fokker_planck as fp
 from kinmarket.cli import (
     PRESETS,
+    _build_parser,
     _lognormal_overlay_grid,
     classify_regime,
     load_config_file,
@@ -146,7 +149,7 @@ class TestClassifyRegime:
         assert classify_regime(tr, 20.0) == classify_regime(tr, 20.0)
 
 
-SMALL = ["--n-agents", "400", "--n-price-samples", "400", "--iters", "60"]
+SMALL = ["--set", "N=400", "--set", "N_s=400", "--set", "n_iters=60"]
 
 
 def _keyvalues(text):
@@ -202,7 +205,7 @@ class TestMainCommand:
         # test2 at rho_F=0.5 admits zeta2 < 0.885^2/3 ~ 0.261; run() refuses
         # it, and no run directory is left behind
         assert main(["run", "--preset", "test2", "--seed", "1",
-                     "--out", str(tmp_path / "x"), "--zeta2", "0.4"]
+                     "--out", str(tmp_path / "x"), "--set", "zeta2_price=0.4"]
                     + SMALL) == 1
         assert "ERROR:config:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -215,13 +218,12 @@ class TestMainCommand:
         assert err.startswith("ERROR:config:") and "seed" in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, key", [("--n-agents", "N"),
-                                           ("--n-price-samples", "N_s")])
+    @pytest.mark.parametrize("key", ["N", "N_s"])
     def test_empty_ensemble_exits_one_naming_the_key(self, tmp_path, capsys,
-                                                     flag, key):
+                                                     key):
         out = tmp_path / "r"
         assert main(["run", "--preset", "test1", "--out", str(out)]
-                    + SMALL + [flag, "0"]) == 1
+                    + SMALL + ["--set", f"{key}=0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR:config:{key} must be"), err
         assert not out.exists()
@@ -251,8 +253,8 @@ class TestMainCommand:
         cfg.write_text(line + "\n")
         out = tmp_path / "r"
         assert main(["run", "--preset", "test2", "--config", str(cfg),
-                     "--out", str(out), "--n-agents", "200",
-                     "--n-price-samples", "200", "--iters", "5"]) == 1
+                     "--out", str(out), "--set", "N=200",
+                     "--set", "N_s=200", "--set", "n_iters=5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR:config:{key}"), err
         assert not out.exists()
@@ -301,9 +303,9 @@ class TestMainCommand:
         assert len((out / "y_hist.csv").read_text().splitlines()) - 1 == 100
 
     @pytest.mark.parametrize("size", [
-        ["--n-agents", "200", "--n-price-samples", "100", "--iters", "30"],
-        ["--n-agents", "200", "--n-price-samples", "199", "--iters", "30"],
-        ["--n-agents", "200", "--n-price-samples", "400", "--iters", "0"],
+        ["--set", "N=200", "--set", "N_s=100", "--set", "n_iters=30"],
+        ["--set", "N=200", "--set", "N_s=199", "--set", "n_iters=30"],
+        ["--set", "N=200", "--set", "N_s=400", "--set", "n_iters=0"],
     ], ids=["k-5", "k-9", "all-prices-equal"])
     def test_hill_scan_only_where_the_estimator_is_defined(self, tmp_path,
                                                            capsys, size):
@@ -350,8 +352,8 @@ class TestMainCommand:
         cfg.write_text(lines)
         out = tmp_path / "r"
         assert main(["run", "--preset", name, "--seed", "1", "--config",
-                     str(cfg), "--out", str(out), "--n-agents", "400",
-                     "--n-price-samples", "400", "--iters", "30"]) == 0, \
+                     str(cfg), "--out", str(out), "--set", "N=400",
+                     "--set", "N_s=400", "--set", "n_iters=30"]) == 0, \
             capsys.readouterr().err
         written = (out / "summary.txt").read_text()
         summary = _keyvalues(written)
@@ -385,8 +387,8 @@ class TestMainCommand:
         # test1 writes overlays that test3a does not: a test3a run into
         # test1's directory must leave what it leaves in a fresh one, and
         # keep files that are not a run's outputs
-        small = ["--n-agents", "400", "--n-price-samples", "400",
-                 "--iters", "30"]
+        small = ["--set", "N=400", "--set", "N_s=400",
+                 "--set", "n_iters=30"]
         out, fresh = tmp_path / "reused", tmp_path / "fresh"
         assert main(["run", "--preset", "test1", "--seed", "1",
                      "--out", str(out)] + small) == 0
@@ -525,8 +527,8 @@ class TestMainCommand:
         # ways; analyze must report its totals, not zeros
         out = tmp_path / "r"
         assert main(["run", "--preset", "test3a", "--seed", "3", "--out",
-                     str(out), "--n-agents", "2000", "--n-price-samples",
-                     "2000", "--iters", "40"]) == 0
+                     str(out), "--set", "N=2000", "--set", "N_s=2000",
+                     "--set", "n_iters=40"]) == 0
         ran = _keyvalues(capsys.readouterr().out)
         keys = ("interaction_rejections", "switches_to_fundamentalist",
                 "switches_to_chartist")
@@ -577,8 +579,8 @@ class TestMainCommand:
         # test3a rejects, switches both ways and, at 220 iterations, is tagged
         out = tmp_path_factory.mktemp("test3a") / "r"
         assert main(["run", "--preset", "test3a", "--seed", "3", "--out", str(out),
-                     "--n-agents", "400", "--n-price-samples", "400",
-                     "--iters", "220"]) == 0
+                     "--set", "N=400", "--set", "N_s=400",
+                     "--set", "n_iters=220"]) == 0
         return out
 
     @pytest.mark.parametrize("column, value", [
@@ -646,8 +648,66 @@ class TestMainCommand:
     def test_pin_mean_override(self, tmp_path):
         out = tmp_path / "pin"
         assert main(["run", "--preset", "test1", "--seed", "3", "--out",
-                     str(out), "--pin-mean", "off"] + SMALL) == 0
+                     str(out), "--set", "pin_mean=off"] + SMALL) == 0
         assert load_config_file(out / "config.txt")["pin_mean"] is False
+
+    @pytest.mark.parametrize("item, named", [
+        ("N=abc", "ERROR:config:N: cannot read 'abc' as int (--set)"),
+        ("pin_mean=maybe", "ERROR:config:pin_mean: cannot read 'maybe'"),
+        ("alpah1=0.3", "ERROR:config:unknown config keys: alpah1"),
+        ("preset=test2", "ERROR:config:unknown config keys: preset"),
+        ("out=elsewhere", "ERROR:config:unknown config keys: out"),
+        ("N", "ERROR:config:--set: expected key=value, got 'N'"),
+    ], ids=["bad-int", "bad-bool", "unknown", "preset", "out", "no-equals"])
+    def test_set_refuses_what_a_config_file_refuses(self, tmp_path, capsys,
+                                                    item, named):
+        # one grammar for a --set item and a config line; preset() refuses
+        # a key outside the schema, preset and out among them
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test1", "--out", str(out)] + SMALL
+                    + ["--set", item]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(named), err
+        assert not out.exists()
+
+    def test_set_overrides_the_config_file_and_seed_overrides_both(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("N_s=300\nbeta=0.2\nseed=4\n")
+        base = ["run", "--preset", "test1", "--config", str(cfg)] + SMALL
+        for argv, seed in ((["--set", "N_s=500", "--set", "seed=6"], 6),
+                           (["--set", "N_s=500", "--set", "seed=6", "--seed", "9"], 9)):
+            out = tmp_path / f"seed{seed}"
+            assert main(base + argv + ["--out", str(out)]) == 0
+            saved = load_config_file(out / "config.txt")
+            assert (saved["N_s"], saved["beta"], saved["seed"]) == (500, 0.2, seed)
+
+    def test_run_takes_no_per_key_flag(self):
+        # every config key is set through --config or --set, one grammar
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices["run"]._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == {"--preset", "--seed", "--out",
+                                              "--config", "--set"}
+
+    def test_a_run_builds_the_opinion_equilibrium_once(self, tmp_path,
+                                                       monkeypatch):
+        # validating chartist_init=equilibrium builds nothing; the run builds
+        # it when it draws, and analyze of a test2 run needs no overlay of it
+        builds = []
+        init = fp.ChartistEquilibrium.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fp.ChartistEquilibrium, "__init__", counted)
+        preset("test2")
+        assert len(builds) == 0
+        out = tmp_path / "r"
+        assert main(["run", "--preset", "test2", "--out", str(out)] + SMALL) == 0
+        assert len(builds) == 1
+        assert main(["analyze", "--out", str(out)]) == 0
+        assert len(builds) == 1
 
 
 class TestNumpyOnly:
@@ -660,8 +720,8 @@ class TestNumpyOnly:
             "from kinmarket.cli import PRESETS, main, preset\n"
             "for name in PRESETS:\n"
             "    preset(name)\n"
-            "    small = ['--n-agents', '400', '--n-price-samples', '400',\n"
-            "             '--iters', '30']\n"
+            "    small = ['--set', 'N=400', '--set', 'N_s=400',\n"
+            "             '--set', 'n_iters=30']\n"
             "    assert main(['run', '--preset', name, '--out', name] + small) == 0\n"
             "    assert main(['analyze', '--out', name]) == 0\n"
             "print('scipy:', sorted(m for m in sys.modules\n"

@@ -30,7 +30,7 @@ import numpy as np
 from kinmarket.cli import PRESETS, main
 
 DIGESTS = Path(__file__).with_name("golden_digests.txt")
-SIZE = ["--n-agents", "2000", "--n-price-samples", "2000", "--iters", "220"]
+SIZE = ["--set", "N=2000", "--set", "N_s=2000", "--set", "n_iters=220"]
 SEEDS = (2, 3)
 
 

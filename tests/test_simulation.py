@@ -816,7 +816,7 @@ def _ref_initialize(config, rng):
     n_c = int(round(config.rho_C0 * config.N))
     init = config.chartist_init
     if init == "equilibrium":
-        # a fresh instance: the engine's is cached per kappa
+        # a fresh instance, as run() builds one when it draws
         p = config.params
         eq = kinmarket.fokker_planck.ChartistEquilibrium(
             0.0, p.sigma2_opinion / (p.alpha1 + p.alpha2))
