@@ -31,11 +31,17 @@ Each step draws its law exactly, from as few draws as it can
 
 The mean propensity is taken once per iteration, when recording; the next
 price step reuses it.  Scratch arrays live as long as the run.
+
+When every chartist interacts at every step (rho_C dt = 1: no fundamentalist
+and dt = 1), nobody can switch and the pairing's draws read no market state,
+so a second thread draws iteration i + 1's while the loop does iteration i,
+from the same stream in the same order: the output bytes are the loop's own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -278,9 +284,26 @@ def binary_interact(y, y_star, phi_val: float, eta, eta_star,
     return y_new, ys_new, rejected
 
 
+def _pair_draws(rng, n_c: int, p: float, params: ModelParams, work: _Workspace):
+    """The pairing step's draws, in stream order: K ~ Binomial(floor(n_c/2), p)
+    (all pairs at p = 1), 2K distinct chartists in random order and their
+    noise, uniform on [-c, c), c = sqrt(3 sigma2_opinion).  Returns (pick,
+    noise), the noise in ``work``'s array; K = 0 draws no more."""
+    m = n_c // 2
+    k = m if p == 1.0 else int(rng.binomial(m, p))
+    if k == 0:
+        return np.empty(0, dtype=np.intp), None
+    pick = rng.choice(n_c, 2 * k, replace=False)
+    c = math.sqrt(3.0 * params.sigma2_opinion)
+    noise = rng.random(out=work("noise", 2 * k))
+    noise *= 2.0 * c
+    noise -= c
+    return pick, noise
+
+
 def step_chartists(ensemble: AgentEnsemble, phi: float,
                    params: ModelParams, dt: float, rng,
-                   work: _Workspace | None = None) -> int:
+                   work: _Workspace | None = None, draws=None) -> int:
     """Pair-interaction step over the chartist subpopulation.
 
     Of floor(N_C/2) disjoint uniformly random pairs, each interacts with
@@ -289,22 +312,19 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     rho_C * dt) pairs of 2K distinct chartists drawn in random order, the
     first K against the last K: a uniform K-subset of a uniform matching.
     The noise, uniform on +-sqrt(3 sigma2_opinion), is admitted by
-    ``ModelParams``.  Returns the number of rejected interactions.
+    ``ModelParams``.  ``draws`` are this step's ``_pair_draws`` if made
+    already; otherwise they are drawn from ``rng`` here.  Returns the number
+    of rejected interactions.
     """
     y = ensemble.y
-    n_c = y.size
-    p = n_c / ensemble.N * dt
-    m = n_c // 2
-    k = m if p == 1.0 else int(rng.binomial(m, p))
+    work = _Workspace() if work is None else work
+    if draws is None:
+        draws = _pair_draws(rng, y.size, y.size / ensemble.N * dt, params, work)
+    pick, noise = draws
+    k = pick.size // 2
     if k == 0:
         return 0
-    pick = rng.choice(n_c, 2 * k, replace=False)
     first, second = pick[:k], pick[k:]
-    work = _Workspace() if work is None else work
-    c = math.sqrt(3.0 * params.sigma2_opinion)  # noise uniform on [-c, c)
-    noise = rng.random(out=work("noise", 2 * k))
-    noise *= 2.0 * c
-    noise -= c
     # np.take with mode="clip" writes straight into its buffer; every index
     # is in range
     y1, y2, rejected = binary_interact(
@@ -316,6 +336,49 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     y[first] = y1
     y[second] = y2
     return int(np.count_nonzero(rejected))
+
+
+class _DrawAhead:
+    """A second thread that makes the pairing draws (``_pair_draws``) of
+    iterations 1..n_iters one iteration ahead of the loop, for a market whose
+    n_c chartists all interact (rho_C dt = 1).  Two noise arrays alternate,
+    one drawn into while the loop reads the other."""
+
+    def __init__(self, rng, n_c: int, params: ModelParams, n_iters: int):
+        self.drawn, self.stopped = [None, None], False
+        self.ready, self.free = threading.Semaphore(0), threading.Semaphore(1)
+        # the noise arrays come from this thread's heap, which the run's
+        # output reuses; a second thread's allocations stay in its own arena
+        work = tuple(_Workspace(noise=np.empty(n_c)) for _ in range(2))
+        self.thread = threading.Thread(target=self._draw, daemon=True,
+                                       args=(rng, n_c, params, n_iters, work))
+        self.thread.start()
+
+    def _draw(self, rng, n_c, params, n_iters, work) -> None:
+        for i in range(1, n_iters + 1):
+            self.free.acquire()
+            if self.stopped:
+                return
+            try:
+                self.drawn[i % 2] = _pair_draws(rng, n_c, 1.0, params, work[i % 2])
+            except BaseException as e:  # take raises it on the loop's thread
+                self.drawn[i % 2] = e
+                return
+            finally:
+                self.ready.release()
+
+    def take(self, i: int):
+        """Iteration i's draws; i - 1's noise is read, so i + 1's may start."""
+        self.free.release()
+        self.ready.acquire()
+        if isinstance(self.drawn[i % 2], BaseException):
+            raise self.drawn[i % 2]
+        return self.drawn[i % 2]
+
+    def stop(self) -> None:
+        self.stopped = True
+        self.free.release()
+        self.thread.join()
 
 
 def step_price(s: np.ndarray, Y: float, rho_C: float,
@@ -430,7 +493,9 @@ def run(config: SimConfig) -> Trajectory:
     frozen market state from the last records, (2) chartist pair interactions
     (followed by mean re-centering when ``pin_mean`` is set), (3) strategy
     exchange when enabled, (4) price-sample updates.  Statistics are recorded
-    after step 4; the trajectory has n_iters + 1 records.
+    after step 4; the trajectory has n_iters + 1 records.  At rho_C dt = 1 a
+    second thread draws the pairing one iteration ahead (see the module
+    notes); it is joined before ``run`` returns or raises.
     """
     params, dt, S0 = config.params, config.dt, float(config.S0)
     init_rng, pair_rng, switch_rng, price_rng = _streams(config.seed)
@@ -464,19 +529,27 @@ def run(config: SimConfig) -> Trajectory:
         min_price[i] = s_min
 
     record(0, S0)
-    for i in range(1, n_rec):
-        # the market state frozen for this iteration is the last records'
-        trend = (S[i - 1] - S[i - 2]) / (dt * S[i - 1]) if i > 1 and S[i - 1] > 0.0 else 0.0
-        phi = value_function(config.value_spec, trend)
-        rejected[i] = step_chartists(ensemble, phi, params, dt, pair_rng, work)
-        if config.pin_mean:
-            _recenter(ensemble.y)
-        if config.enable_switching:
-            switch_cf[i], switch_fc[i] = step_strategy_exchange(
-                ensemble, float(S[i - 1]), trend, params, dt, switch_rng)
-        s_min = step_price(s, float(Y[i - 1]), float(rho_C[i - 1]), params, dt,
-                           price_rng, work)
-        record(i, s_min)
+    # at rho_C dt = 1 the pairing reads no market state: it is drawn ahead
+    ahead = (_DrawAhead(pair_rng, n_c, params, config.n_iters)
+             if ensemble.n_fundamentalists == 0 and dt == 1.0 else None)
+    try:
+        for i in range(1, n_rec):
+            # the market state frozen for this iteration is the last records'
+            trend = (S[i - 1] - S[i - 2]) / (dt * S[i - 1]) if i > 1 and S[i - 1] > 0.0 else 0.0
+            phi = value_function(config.value_spec, trend)
+            rejected[i] = step_chartists(ensemble, phi, params, dt, pair_rng, work,
+                                         None if ahead is None else ahead.take(i))
+            if config.pin_mean:
+                _recenter(ensemble.y)
+            if config.enable_switching:
+                switch_cf[i], switch_fc[i] = step_strategy_exchange(
+                    ensemble, float(S[i - 1]), trend, params, dt, switch_rng)
+            s_min = step_price(s, float(Y[i - 1]), float(rho_C[i - 1]), params, dt,
+                               price_rng, work)
+            record(i, s_min)
+    finally:
+        if ahead is not None:
+            ahead.stop()
 
     return Trajectory(
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,

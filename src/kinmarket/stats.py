@@ -79,11 +79,14 @@ def write_columns(path, header: str, *columns) -> None:
     to 2^53: above every count of a run, which is at most max(N, n_iters).
     """
     # One % call makes the file one string of several MB.  Freeing it raises
-    # glibc's dynamic mmap threshold, so later runs in the process take the
-    # loop's 8*N-byte temporaries (rng.choice at rho_C*dt = 1) from the heap:
-    # on test1 (N = 50k, 2 vCPUs) a first run pays 164 minor faults and
-    # 0.4 ms of system time per iteration, a later one 0.5 faults.  Writing
-    # in 4,096-row blocks saved 3 MB of peak RSS but kept every run at 164.
+    # glibc's dynamic mmap threshold, so later 8*N-byte temporaries in the
+    # process come from the heap, not from fresh, faulting mmaps.  On test1
+    # (N = 50k, 2 vCPUs) that once took rng.choice at rho_C*dt = 1 from 158
+    # minor faults per iteration in a first run to 0.5 in later ones; that
+    # choice now runs on the thread that draws the pairing ahead, whose own
+    # arena serves it from the first run (2 faults per iteration, 0.5-0.9
+    # later).  Writing in 4,096-row blocks saved 3 MB of peak RSS, measured
+    # before that thread, when it kept every test1 run at 164 faults.
     values = np.column_stack(columns).astype(float, copy=False)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:

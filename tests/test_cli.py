@@ -735,6 +735,22 @@ class TestNumpyOnly:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "scipy: []"
 
+    def test_import_loads_no_logging(self):
+        # concurrent.futures would load logging, whose import time counts in
+        # every run's start-up; the thread that draws the pairing ahead is a
+        # bare threading.Thread, a module numpy loads already
+        code = ("import sys\n"
+                "import kinmarket, kinmarket.cli\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('concurrent', 'logging')))\n")
+        src = str(Path(kinmarket.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_src_imports_no_scipy(self):
         # every import statement of the package, lazy ones inside a function too
         found = []

@@ -27,11 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from kinmarket.cli import PRESETS, main
+from kinmarket.cli import PRESETS, main, preset
+from kinmarket.simulation import run
 
 DIGESTS = Path(__file__).with_name("golden_digests.txt")
 SIZE = ["--set", "N=2000", "--set", "N_s=2000", "--set", "n_iters=220"]
 SEEDS = (2, 3)
+# test1 at an odd size, where the pairing leaves one agent out and draws
+# choice(N, N - 1): the sha256 of the S, Y, max_abs_y and y_final bytes,
+# recorded under the numpy version of golden_digests.txt's header
+ODD = {"N": 2001, "N_s": 2001, "n_iters": 60, "seed": 2}
+ODD_SHA256 = "b7d582925a39ce9fa6bffe0b905461b26332ad2b379c2789bd91ea42c205d15d"
 
 
 def _header() -> str:
@@ -81,6 +87,16 @@ def test_outputs_keep_their_golden_digests(tmp_path):
     got = digests(tmp_path)
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not differ, f"{len(differ)} outputs changed: {', '.join(differ)}"
+
+
+def test_odd_size_pairing_keeps_its_bytes():
+    # the value is of the numpy version golden_digests.txt was recorded with
+    assert DIGESTS.read_text().splitlines()[0] == _header()
+    traj = run(preset("test1", ODD).sim)
+    got = hashlib.sha256()
+    for a in (traj.S, traj.Y, traj.max_abs_y, traj.y_final):
+        got.update(a.tobytes())
+    assert got.hexdigest() == ODD_SHA256
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +65,37 @@ def small_config(**over):
     )
     defaults.update(over)
     return SimConfig(**defaults)
+
+
+def trace_hooks():
+    """The (owner, name) pairs that bench/harness.py install_spans wraps."""
+    cli, sim = kinmarket.cli, kinmarket.simulation
+    stats, fp = kinmarket.stats, kinmarket.fokker_planck
+    return [(cli, "run"), (cli, "run_experiment"),
+            (cli, "_analyze_outputs"), (cli, "_cmd_analyze"),
+            (sim, "step_chartists"), (sim, "binary_interact"),
+            (sim, "step_strategy_exchange"), (sim, "step_price"),
+            (sim, "chartist_profit"), (sim, "value_function"),
+            (sim.AgentEnsemble, "mean_propensity"),
+            (sim.Trajectory, "to_csv"), (sim.Trajectory, "write_samples"),
+            (stats, "l1_density_distance"), (stats, "ks_statistic"),
+            (stats, "hill_plateau"), (stats.Histogram, "from_samples"),
+            (stats.Histogram, "to_csv"),
+            (fp.ChartistEquilibrium, "__init__"),
+            (fp.ChartistEquilibrium, "sample"),
+            (fp, "pareto_steady_state"), (fp.ParetoSteadyState, "pdf")]
+
+
+def count_thread_starts(monkeypatch):
+    """A list that gains one entry per threading.Thread.start from now on."""
+    starts, start = [], threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
 
 
 def interact_one(y, y_star, phi, eta, eta_star, params):
@@ -604,24 +637,113 @@ class TestRun:
         # the benchmark's tracer (bench/harness.py install_spans) replaces
         # these names where the program looks them up; a missing one fails a
         # traced benchmark run with KeyError
-        cli, sim = kinmarket.cli, kinmarket.simulation
-        stats, fp = kinmarket.stats, kinmarket.fokker_planck
-        hooks = [(cli, "run"), (cli, "run_experiment"),
-                 (cli, "_analyze_outputs"), (cli, "_cmd_analyze"),
-                 (sim, "step_chartists"), (sim, "binary_interact"),
-                 (sim, "step_strategy_exchange"), (sim, "step_price"),
-                 (sim, "chartist_profit"), (sim, "value_function"),
-                 (sim.AgentEnsemble, "mean_propensity"),
-                 (sim.Trajectory, "to_csv"), (sim.Trajectory, "write_samples"),
-                 (stats, "l1_density_distance"), (stats, "ks_statistic"),
-                 (stats, "hill_plateau"), (stats.Histogram, "from_samples"),
-                 (stats.Histogram, "to_csv"),
-                 (fp.ChartistEquilibrium, "__init__"),
-                 (fp.ChartistEquilibrium, "sample"),
-                 (fp, "pareto_steady_state"), (fp.ParetoSteadyState, "pdf")]
-        for owner, name in hooks:
+        for owner, name in trace_hooks():
             assert name in vars(owner), f"{owner.__name__}.{name}"
             assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
+
+    def test_trace_hooks_are_called_on_the_loops_thread(self, monkeypatch,
+                                                        tmp_path):
+        # the tracer keeps one span stack, so a traced name called from the
+        # thread that draws the pairing ahead would corrupt every span
+        seen = []
+        for owner, name in trace_hooks():
+            raw = vars(owner)[name]
+            func = raw.__func__ if isinstance(raw, classmethod) else raw
+
+            def watched(*args, _func=func, _name=name, **kwargs):
+                seen.append((_name, threading.get_ident()))
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, classmethod(watched)
+                                if isinstance(raw, classmethod) else watched)
+        starts = count_thread_starts(monkeypatch)
+        out = str(tmp_path / "run")
+        for argv in (["run", "--preset", "test1", "--out", out, "--set", "N=600",
+                      "--set", "N_s=600", "--set", "n_iters=40"],
+                     ["analyze", "--out", out]):
+            assert kinmarket.cli.main(argv) == 0
+        assert len(starts) == 1
+        names = {name for name, _ in seen}
+        assert {"step_chartists", "binary_interact", "step_price"} <= names
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("name, threads", [
+        ("test1", 1), ("test2", 0), ("test3a", 0)])
+    def test_only_an_all_pairs_market_draws_ahead(self, monkeypatch, name,
+                                                  threads):
+        # rho_C dt = 1 (no fundamentalist, dt = 1) is the one case whose
+        # pairing draws read nothing of the market state
+        starts = count_thread_starts(monkeypatch)
+        run(preset(name, {"N": 500, "N_s": 500, "n_iters": 20}).sim)
+        assert len(starts) == threads
+
+    def test_drawing_ahead_keeps_every_byte(self, monkeypatch):
+        cfg = dataclasses.replace(
+            preset("test1", {"N": 1001, "N_s": 800, "n_iters": 50}).sim,
+            pin_mean=False)
+        monkeypatch.setattr(kinmarket.simulation, "_DrawAhead",
+                            lambda *args: None)
+        inline = run(cfg)
+        monkeypatch.undo()
+        # three runs at once, each with its drawing thread: more threads than
+        # cores, switched between as often as the interpreter allows
+        starts = count_thread_starts(monkeypatch)
+        got = [None] * 3
+
+        def one(j):
+            got[j] = run(cfg)
+
+        threads = [threading.Thread(target=one, args=(j,)) for j in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(starts) == 6
+        for ahead in got:
+            for field in ("S", "Y", "E", "max_abs_y", "min_price", "rejected",
+                          "y_final", "s_final"):
+                assert np.array_equal(getattr(ahead, field),
+                                      getattr(inline, field)), field
+
+    def test_no_thread_outlives_a_failed_run(self, monkeypatch):
+        price = kinmarket.simulation.step_price
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise InvariantViolation("a price sample became negative")
+            return price(*args)
+
+        monkeypatch.setattr(kinmarket.simulation, "step_price", failing)
+        starts = count_thread_starts(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(InvariantViolation):
+            run(preset("test1", {"N": 500, "N_s": 500, "n_iters": 20}).sim)
+        assert len(starts) == 1 and len(calls) == 5
+        assert threading.active_count() == before
+
+    def test_an_error_drawing_ahead_is_raised_by_run(self, monkeypatch):
+        draws = kinmarket.simulation._pair_draws
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("no room for the pairing")
+            return draws(*args)
+
+        monkeypatch.setattr(kinmarket.simulation, "_pair_draws", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="pairing"):
+            run(preset("test1", {"N": 500, "N_s": 500, "n_iters": 20}).sim)
+        assert len(calls) == 3
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("values", [
         np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0]),
