@@ -24,7 +24,9 @@ Each step draws its law exactly, from as few draws as it can
 (Nanbu-Babovsky selection; Pareschi & Russo, ESAIM Proc. 2001):
 
 * pairing draws the number K of interacting pairs, then 2K distinct
-  chartists in random order, and pairs the first K with the last K;
+  chartists in random order, gathered in one pass, and pairs the first K
+  with the last K; when all chartists pair, the outcomes overwrite y in pair
+  order, otherwise one scatter puts them back;
 * switching draws one count per sign class of y for departures, and one
   count for arrivals, since both switch laws depend on y only through sgn(y);
 * the price step is one multiply-add per sample, the drift being affine in s.
@@ -311,7 +313,9 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     market-trend target of the interaction.  Sampled as K ~ Binomial(floor(N_C/2),
     rho_C * dt) pairs of 2K distinct chartists drawn in random order, the
     first K against the last K: a uniform K-subset of a uniform matching.
-    The noise, uniform on +-sqrt(3 sigma2_opinion), is admitted by
+    The 2K are gathered once; at 2K = N_C the outcomes overwrite y in pair
+    order (y keeps no order), otherwise one scatter puts them back.  The
+    noise, uniform on +-sqrt(3 sigma2_opinion), is admitted by
     ``ModelParams``.  ``draws`` are this step's ``_pair_draws`` if made
     already; otherwise they are drawn from ``rng`` here.  Returns the number
     of rejected interactions.
@@ -324,17 +328,14 @@ def step_chartists(ensemble: AgentEnsemble, phi: float,
     k = pick.size // 2
     if k == 0:
         return 0
-    first, second = pick[:k], pick[k:]
     # np.take with mode="clip" writes straight into its buffer; every index
     # is in range
-    y1, y2, rejected = binary_interact(
-        np.take(y, first, out=work("pair_y", k), mode="clip"),
-        np.take(y, second, out=work("pair_y_star", k), mode="clip"),
-        phi, noise[:k], noise[k:], params,
-        out=(work("new_y", k), work("new_y_star", k), work("tmp", k)),
-    )
-    y[first] = y1
-    y[second] = y2
+    pairs = np.take(y, pick, out=work("pairs", 2 * k), mode="clip")
+    new = y if 2 * k == y.size else work("new", 2 * k)
+    rejected = binary_interact(pairs[:k], pairs[k:], phi, noise[:k], noise[k:],
+                               params, out=(new[:k], new[k:], work("tmp", k)))[2]
+    if new is not y:
+        y[pick] = new
     return int(np.count_nonzero(rejected))
 
 

@@ -179,6 +179,18 @@ class TestStepChartists:
         y0 = rng.uniform(-1, 1, 500)
         ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=0)
         step_chartists(ens, 0.0, p, 1.0, rng)
+        # all pairs interact: the outcomes overwrite y in pair order, which
+        # keeps the values, in no particular order, in the run's buffer
+        assert np.array_equal(np.sort(ens.y), np.sort(y0))
+        assert ens.y.ctypes.data == ens.buffer.ctypes.data
+
+    def test_frozen_dynamics_without_coupling_keep_positions(self):
+        # rho_C dt < 1: the interacting pairs go back where they came from
+        p = ModelParams(alpha1=0.0, alpha2=0.0, sigma2_opinion=0.0)
+        rng = np.random.default_rng(1)
+        y0 = rng.uniform(-1, 1, 500)
+        ens = AgentEnsemble(y=y0.copy(), n_fundamentalists=500)
+        step_chartists(ens, 0.0, p, 1.0, rng)
         assert np.array_equal(ens.y, y0)
 
     def test_mirrored_pairs_keep_mean_near_zero(self):
@@ -1048,6 +1060,14 @@ def _terminal_laws(simulate, cfg, seeds):
     return runs, laws
 
 
+def _assert_laws_agree(got, want, name, pin_mean):
+    bounds = dict(zip(("y", "s"), LAW_KS_POOLED[name, pin_mean]),
+                  S=LAW_KS_PER_RUN, rho_C=LAW_KS_PER_RUN)
+    for key, bound in bounds.items():
+        ks = ks_2samp(got[key], want[key]).statistic
+        assert ks <= bound, f"{key}: KS distance {ks:.4f} > {bound}"
+
+
 class TestBitIdentity:
     """run() against the reference loop.
 
@@ -1078,8 +1098,16 @@ class TestBitIdentity:
                 assert r[field][0] == ref[field][0], field
             if cfg.enable_switching:
                 assert r["switch_cf"].sum() > 0 and r["switch_fc"].sum() > 0
-        bounds = dict(zip(("y", "s"), LAW_KS_POOLED[name, pin_mean]),
-                      S=LAW_KS_PER_RUN, rho_C=LAW_KS_PER_RUN)
-        for key, bound in bounds.items():
-            ks = ks_2samp(got[key], want[key]).statistic
-            assert ks <= bound, f"{key}: KS distance {ks:.4f} > {bound}"
+        _assert_laws_agree(got, want, name, pin_mean)
+
+    @pytest.mark.parametrize("pin_mean", [True, False], ids=["pinned", "free"])
+    def test_all_pairs_run_matches_reference_loop(self, pin_mean):
+        # at an even size every test1 step pairs all chartists, and the
+        # outcomes overwrite y in pair order: the branch 2999 never reaches
+        cfg = dataclasses.replace(
+            preset("test1", {"N": 3000, "N_s": 3000, "n_iters": 80}).sim,
+            pin_mean=pin_mean)
+        seeds = range(1000, 1000 + LAW_SEEDS)
+        got = _terminal_laws(run, cfg, seeds)[1]
+        want = _terminal_laws(_reference_run, cfg, seeds)[1]
+        _assert_laws_agree(got, want, "test1", pin_mean)
