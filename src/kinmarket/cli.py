@@ -19,9 +19,11 @@ Which overlays a run gets is stated by the conditions of ``_analyze_outputs``
 and, in prose, by the run-directory table of the README.
 All randomness is controlled by the seed (--seed, else that of --set or the
 config file, else 0); two runs with identical flags produce identical files.
-Every config key is set the same way: a --config line or a --set KEY=VALUE.
+Every config key is set the same way: a --config line or a --set KEY=VALUE;
+a config file may also carry the ``preset`` line that config.txt holds.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-invariant failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical-invariant failure;
+``analyze`` exits 1 or 2 before it writes anything.
 Errors are printed to stderr with the machine-readable prefix
 ``ERROR:<category>:``.
 """
@@ -108,9 +110,6 @@ _SIM_FIELDS = _fields(SimConfig, skip=("params", "value_spec"))
 # every config key with its type, in config.txt order but for "preset"
 _SCHEMA = {**_PARAM_FIELDS, **_VALUE_FIELDS, **_SIM_FIELDS}
 REQUIRED_KEYS = tuple(k for k in _SCHEMA if k != "seed")
-# keys of older versions that still load, and do nothing
-_RETIRED_KEYS = ("n_streams", "overlay_chartist", "overlay_lognormal",
-                 "overlay_pareto", "hill_k_frac", "bins_y", "bins_s")
 
 
 def preset_names() -> list[str]:
@@ -133,7 +132,7 @@ def preset(name: str, overrides: dict | None = None) -> ExperimentConfig:
             f"unknown preset {name!r}; known: {', '.join(preset_names())}"
         )
     table.update(overrides or {})
-    unknown = [k for k in table if k not in _SCHEMA and k not in _RETIRED_KEYS]
+    unknown = [k for k in table if k not in _SCHEMA]
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     missing = [k for k in REQUIRED_KEYS if k not in table]
@@ -241,7 +240,8 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     from its trajectory.csv and terminal samples.  Each block is written
     under the whole condition its law needs.
 
-    After writing the summary, raises InvariantViolation at the first row
+    Raises, before it writes anything, ConfigurationError on a file that does
+    not parse or has the wrong shape, and InvariantViolation at the first row
     holding a value no run writes, in the first column that has one.
     """
     p = config.sim.params
@@ -282,6 +282,12 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         **{c: ~(np.isfinite(n) & (n >= 0.0) & (n == np.round(n))) for c, n in
            vars(traj).items() if c in ("rejected", "switch_cf", "switch_fc")},
     }
+    for column, bad in broken.items():
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolation(
+                f"{path}: row {i}: {column}={float(getattr(traj, column)[i])} "
+                "is a value no run writes")
     summary: dict = {
         "preset": config.preset,
         "seed": config.sim.seed,
@@ -300,8 +306,6 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         "switches_to_chartist": traj.switch_fc.sum(),
         "min_price_terminal": float(s.min()),
         "max_abs_y_terminal": float(np.abs(y).max()) if y.size else 0.0,
-        "rho_sum_exact": not broken["rho_F"].any(),
-        "n_agents_constant": not broken["rho_C"].any(),
     }
 
     # the closed forms hold for fixed populations: chartists alone, or a
@@ -314,7 +318,7 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         y_hist.to_csv(out / "y_hist.csv")
     s_bins = 200 if fixed and rho_F > 0.0 else 100
     stats.Histogram.from_samples(s, bins=s_bins).to_csv(out / "s_hist.csv")
-    if traj.S.size >= 200 and not broken["S"].any():
+    if traj.S.size >= 200:
         summary["regime"] = classify_regime(traj, p.S_F)
     # the opinion equilibrium's closed form holds at H = 1 and D = 1 - y^2 alone
     if (fixed and rho_F == 0.0 and y.size
@@ -365,12 +369,6 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         summary["price_mean_rel_err"] = abs(price_mean - p.S_F) / p.S_F
 
     (out / "summary.txt").write_text(_keyvalues(summary))
-    for column, bad in broken.items():
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvariantViolation(
-                f"{path}: row {i}: {column}={float(getattr(traj, column)[i])} "
-                "is a value no run writes")
     return summary
 
 
@@ -416,7 +414,8 @@ def _parse_item(item: str, where: str) -> tuple:
 def load_config_file(path) -> dict:
     """Read a flat key=value config file (# starts a comment).
 
-    The table keeps a ``preset`` line; ``out`` lines are skipped.
+    Each line is read as a --set item is; a ``preset`` line is kept for the
+    caller to pop, since ``preset()`` refuses every key outside the schema.
     """
     table: dict = {}
     p = Path(path)
@@ -426,8 +425,7 @@ def load_config_file(path) -> dict:
         line = line.split("#", 1)[0].strip()
         if line:
             key, value = _parse_item(line, f"{p}:{ln}")
-            if key != "out":
-                table[key] = value
+            table[key] = value
     return table
 
 

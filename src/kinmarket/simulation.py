@@ -127,7 +127,6 @@ def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
 _NAMED_INITS = {
     "symmetric_uniform": _symmetric_uniform,
     "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
-    "zero": lambda rng, n: np.zeros(n),
 }
 
 

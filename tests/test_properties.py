@@ -68,7 +68,7 @@ def sim_configs(draw):
         enable_switching=draw(st.booleans()), S0=draw(st.floats(0.5, 50.0)),
         rho_C0=draw(unit),
         chartist_init=draw(st.sampled_from(
-            ["symmetric_uniform", "uniform", "zero", "constant:0.7",
+            ["symmetric_uniform", "uniform", "constant:0", "constant:0.7",
              "constant:-1"])),
         pin_mean=draw(st.booleans()),
     )
