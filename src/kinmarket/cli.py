@@ -101,7 +101,7 @@ class ExperimentConfig:
 
 def _fields(cls, skip=()) -> dict:
     # constructor fields of a dataclass: name -> annotation (a string here)
-    return {f.name: f.type for f in fields(cls) if f.init and f.name not in skip}
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
 
 
 _PARAM_FIELDS = _fields(ModelParams)
@@ -215,9 +215,9 @@ def _lognormal_overlay_grid(m: float, v: float) -> np.ndarray:
     return np.exp(m + np.sqrt(v) * z)
 
 
-# every file a run may write, removed first so none of an earlier run is left
-_OUTPUTS = ("config.txt", "trajectory.csv", "y_samples.txt", "s_samples.txt",
-            "y_hist.csv", "s_hist.csv", "chartist_fp.csv", "lognormal_fp.csv",
+# every file an analysis may write, removed first so none of an earlier
+# analysis is left where its conditions no longer hold
+_DERIVED = ("y_hist.csv", "s_hist.csv", "chartist_fp.csv", "lognormal_fp.csv",
             "pareto_fp.csv", "hill_scan.csv", "summary.txt")
 
 
@@ -238,11 +238,12 @@ def _load(path: Path, **kwargs) -> np.ndarray:
 def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     """Histograms, overlays and the summary table of the run directory ``out``,
     from its trajectory.csv and terminal samples.  Each block is written
-    under the whole condition its law needs.
+    under the whole condition its law needs, once ``_DERIVED`` is removed.
 
-    Raises, before it writes anything, ConfigurationError on a file that does
-    not parse or has the wrong shape, and InvariantViolation at the first row
-    holding a value no run writes, in the first column that has one.
+    Raises, before it writes or removes anything, ConfigurationError on a
+    file that does not parse or has the wrong shape, and InvariantViolation at
+    the first row holding a value no run writes, in the first column that has
+    one.
     """
     p = config.sim.params
     N = config.sim.N
@@ -313,6 +314,8 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
     fixed = not config.sim.enable_switching
     rho_F = float(traj.rho_F[-1])
     E_T, S0 = float(traj.E[-1]), config.sim.S0
+    for name in _DERIVED:
+        (out / name).unlink(missing_ok=True)
     if y.size:
         y_hist = stats.Histogram.from_samples(y, bins=100, range=(-1.0, 1.0))
         y_hist.to_csv(out / "y_hist.csv")
@@ -333,7 +336,7 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
             summary["kappa"] = eq.kappa
             summary["l1_chartist"] = stats.l1_density_distance(y_hist, eq)
     # every lognormal law of mean S0 has a finite second moment above S0^2
-    if fixed and rho_F == 0.0 and S0 * S0 < E_T < np.inf:
+    if fixed and rho_F == 0.0 and S0 * S0 < E_T:
         grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S0, E_T))
         stats.write_columns(out / "lognormal_fp.csv", "x,density", grid,
                             fp.lognormal_price_density(grid, S0, E_T))
@@ -378,8 +381,6 @@ def run_experiment(config: ExperimentConfig, out: Path) -> dict:
     # run first: a configuration the engine refuses must leave no directory
     traj = run(config.sim)
     out.mkdir(parents=True, exist_ok=True)
-    for name in _OUTPUTS:
-        (out / name).unlink(missing_ok=True)
     (out / "config.txt").write_text(f"# random streams: {STREAM_LAYOUT}\n"
                                     + _keyvalues(_config_table(config)))
     traj.to_csv(out / "trajectory.csv")

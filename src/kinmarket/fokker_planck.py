@@ -30,7 +30,7 @@ below ~1.3e-3).  Everything here needs numpy and the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,7 @@ from .model import ModelParams, NumericsError, price_drift
 
 __all__ = [
     "ChartistEquilibrium",
-    "chartist_stationary_residual",
     "lognormal_price_density",
-    "lognormal_price_cdf",
-    "lognormal_log_params",
     "ParetoSteadyState",
     "pareto_steady_state",
     "PriceCollapse",
@@ -243,13 +240,12 @@ class ParetoSteadyState:
     """Inverse-Gamma price steady state with Pareto tail exponent mu_exp.
 
     Density C1 * s^-(1+mu) * exp(-(mu-1) S_F / s) on s > 0, normalized with
-    C1 = ((mu-1) S_F)^mu / Gamma(mu), held as its log.  The mean equals S_F
-    for every mu > 1; the CCDF decays like s^-mu.
+    C1 = ((mu-1) S_F)^mu / Gamma(mu).  The mean equals S_F for every mu > 1;
+    the CCDF decays like s^-mu.
     """
 
     mu_exp: float
     S_F: float
-    _log_c1: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mu_exp <= 1.0:
@@ -258,16 +254,15 @@ class ParetoSteadyState:
             )
         if self.S_F <= 0.0:
             raise ValueError("fundamental price S_F must be positive")
-        log_c1 = self.mu_exp * math.log((self.mu_exp - 1.0) * self.S_F) - math.lgamma(self.mu_exp)
-        object.__setattr__(self, "_log_c1", log_c1)
 
     @property
     def scale(self) -> float:
         return (self.mu_exp - 1.0) * self.S_F
 
     def pdf(self, s):
+        log_c1 = self.mu_exp * math.log(self.scale) - math.lgamma(self.mu_exp)
         return _on_support(s, _positive, lambda sp: np.exp(
-            self._log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
+            log_c1 - (1.0 + self.mu_exp) * np.log(sp) - self.scale / sp))
 
 
 def pareto_steady_state(params: ModelParams, rho_F: float) -> ParetoSteadyState:

@@ -17,7 +17,7 @@ checks it (``price_noise_halfwidth``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "diffusion",
     "chartist_profit",
     "fundamentalist_profit",
-    "price_drift",
     "switch_rate",
     "price_noise_halfwidth",
 ]
@@ -53,17 +52,13 @@ class InvariantViolation(RuntimeError):
 def check_finite(record) -> None:
     """Reject a nan or infinite float field: a nan passes every ``x < 0`` check."""
     for f in fields(record):
-        if f.init and f.type == "float" and not math.isfinite(v := getattr(record, f.name)):
+        if f.type == "float" and not math.isfinite(v := getattr(record, f.name)):
             raise ConfigurationError(f"{f.name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All market and behavioral constants, validated once.
-
-    ``r_return`` is always derived as ``dividend / S_F`` so that a stable
-    price at the fundamental value yields identical (zero) excess profits for
-    both strategies; it cannot be set independently.
+    """All market and behavioral constants, each a config key, validated once.
 
     The admissibility condition ``beta * (t_C + gamma_f) < 1`` is the uniform
     (over population fractions) version of the support bound required to keep
@@ -88,7 +83,6 @@ class ModelParams:
     herding_a: float = 1.0        # constant part of H(y)
     herding_b: float = 0.0        # slope part of H(y)
     gamma_diff: float = 1.0       # exponent of the diffusion profile D(y)
-    r_return: float = field(init=False)  # derived: dividend / S_F
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -131,7 +125,6 @@ class ModelParams:
                 f"maximum admissible variance is {c * c / 3.0} "
                 f"(uniform noise on +-{c})"
             )
-        object.__setattr__(self, "r_return", self.dividend / self.S_F)
 
     @property
     def kappa(self) -> float:
@@ -201,12 +194,14 @@ def diffusion(params: ModelParams, y, out=None):
 def chartist_profit(params: ModelParams, y, S: float, S_dot: float):
     """Chartist excess profit sgn(y) * ((S_dot/mu + D)/S - r).
 
-    The sign factor accounts for the agent's position: buyers gain from an
-    uptrend, sellers from a downtrend.  Requires S > 0.
+    The return r = D/S_F makes both strategies earn nothing at a stable price
+    S = S_F.  The sign factor accounts for the agent's position: buyers gain
+    from an uptrend, sellers from a downtrend.  Requires S > 0.
     """
     if S <= 0.0:
         raise ValueError(f"price must be positive to evaluate profits, got S={S}")
-    signal = (S_dot / params.mu_freq + params.dividend) / S - params.r_return
+    signal = (S_dot / params.mu_freq + params.dividend) / S \
+        - params.dividend / params.S_F
     return np.sign(y) * signal
 
 

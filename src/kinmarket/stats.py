@@ -17,11 +17,9 @@ __all__ = [
     "Histogram",
     "hill_tail_index",
     "hill_plateau",
-    "HillScan",
     "l1_density_distance",
     "lognormal_fit",
     "ks_statistic",
-    "write_columns",
 ]
 
 

@@ -355,7 +355,8 @@ class TestMainCommand:
         # The opinion equilibrium's closed form needs H = 1 and D = 1 - y^2:
         # other herding or diffusion profiles have none.  A lognormal law of
         # mean S0 has a second moment above S0^2: a falling noiseless price
-        # has none
+        # has none.  An overlay left by an earlier analysis, whose conditions
+        # held then, is removed by the next
         cfg = tmp_path / "c.txt"
         cfg.write_text(lines)
         out = tmp_path / "r"
@@ -375,8 +376,12 @@ class TestMainCommand:
             assert (out / "lognormal_fp.csv").exists() == lognormal
             assert ("ks_lognormal" in summary) == lognormal
         (out / "summary.txt").unlink()
+        stale = [out / skip for skip in skipped if skip.endswith(".csv")]
+        for path in stale:
+            path.write_text("x,density\n0,1\n")
         assert main(["analyze", "--out", str(out)]) == 0
         assert (out / "summary.txt").read_text() == written
+        assert stale and not any(path.exists() for path in stale)
 
     @pytest.mark.filterwarnings("error")
     def test_run_without_chartists_writes_no_y_histogram_and_no_warning(
@@ -818,24 +823,27 @@ class TestPublicNames:
             <= namespace.keys()
 
     def test_package_reexports_only_public_names(self):
-        tree = ast.parse((self.package / "__init__.py").read_text())
-        imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
-        assert imports
-        for node in imports:
-            module = importlib.import_module(f"kinmarket.{node.module}")
-            for alias in node.names:
-                assert alias.name in module.__all__, f"{node.module}.{alias.name}"
-                assert getattr(kinmarket, alias.name) is getattr(module, alias.name)
+        # the package's public names, less its submodules, are exactly the
+        # engine modules' __all__, each the module's own object
+        engine = ("model", "fokker_planck", "simulation", "stats")
+        public = {n for n in dir(kinmarket) if not n.startswith("_")}
+        exported = {}
+        for name in engine:
+            module = importlib.import_module(f"kinmarket.{name}")
+            exported.update((n, getattr(module, n)) for n in module.__all__)
+        assert public - {"cli", *engine} == exported.keys()
+        for n, obj in exported.items():
+            assert getattr(kinmarket, n) is obj, n
 
 
 class TestConfigFile:
     def test_parse_types_and_comments(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("alpha1=0.2  # herding\nN=1000\npin_mean=true\n"
-                        "chartist_init=zero\n\n# comment line\n")
+                        "chartist_init=constant:0\n\n# comment line\n")
         table = load_config_file(path)
         assert table == {"alpha1": 0.2, "N": 1000, "pin_mean": True,
-                         "chartist_init": "zero"}
+                         "chartist_init": "constant:0"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -194,11 +194,16 @@ class TestLognormalPrice:
 
 class TestParetoSteadyState:
     def test_normalization_constant(self):
-        ps = ParetoSteadyState(2.0, 20.0)
-        assert math.exp(ps._log_c1) == pytest.approx(400.0, rel=1e-12)
+        def log_c1(ps):
+            # at s = scale the density is C1 * scale^-(1+mu) * e^-1
+            return (math.log(ps.pdf(ps.scale))
+                    + (1.0 + ps.mu_exp) * math.log(ps.scale) + 1.0)
+
+        assert math.exp(log_c1(ParetoSteadyState(2.0, 20.0))) == \
+            pytest.approx(400.0, rel=1e-12)
         for mu in (1.5, 2.0, 3.0, 5.0, 37.5):
             ps = ParetoSteadyState(mu, 20.0)
-            assert ps._log_c1 == pytest.approx(
+            assert log_c1(ps) == pytest.approx(
                 mu * math.log((mu - 1.0) * 20.0) - gammaln(mu), rel=1e-15)
 
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0, 5.0])

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from kinmarket import cli
 from kinmarket.model import (
     ConfigurationError,
     ModelParams,
@@ -18,7 +19,7 @@ from kinmarket.model import (
     switch_rate,
     value_function,
 )
-from kinmarket.simulation import AgentEnsemble, step_chartists
+from kinmarket.simulation import AgentEnsemble, SimConfig, step_chartists
 
 
 def make_test3_params(**over):
@@ -135,7 +136,7 @@ class TestProfits:
     def test_calibration_at_fundamental_price(self):
         # D=0.004, S_F=20 gives r=0.0002; stable price at S_F zeroes both payoffs
         p = make_test3_params()
-        assert p.r_return == pytest.approx(0.0002, abs=1e-18)
+        assert p.dividend / p.S_F == pytest.approx(0.0002, abs=1e-18)
         assert chartist_profit(p, 0.5, 20.0, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert fundamentalist_profit(p, 20.0) == 0.0
 
@@ -160,7 +161,7 @@ class TestProfits:
             y = rng.uniform(-1, 1)
             s = rng.uniform(1.0, 40.0)
             s_dot = rng.uniform(-2.0, 2.0)
-            signal = (s_dot / p.mu_freq + p.dividend) / s - p.r_return
+            signal = (s_dot / p.mu_freq + p.dividend) / s - p.dividend / p.S_F
             assert np.sign(chartist_profit(p, y, s, s_dot)) == np.sign(y) * np.sign(signal)
 
     def test_nonpositive_price_rejected(self):
@@ -252,9 +253,14 @@ class TestNoiseBounds:
 
 
 class TestModelParamsValidation:
-    def test_r_return_derived(self):
-        p = ModelParams(dividend=0.004, S_F=20.0)
-        assert p.r_return == 0.004 / 20.0
+    def test_records_hold_only_their_keys(self):
+        # every field is a constructor argument, and the 29 config keys are
+        # the records' fields less SimConfig's two records
+        records = (ModelParams, ValueFunctionSpec, SimConfig)
+        assert all(f.init for cls in records for f in fields(cls))
+        keys = [f.name for cls in records for f in fields(cls)
+                if f.name not in ("params", "value_spec")]
+        assert list(cli._SCHEMA) == keys and len(keys) == 29
 
     def test_kappa_derived(self):
         # the test1 parameters: bit for bit the ratio, 0.02 / 0.02
@@ -266,7 +272,7 @@ class TestModelParamsValidation:
         assert math.isnan(ModelParams(alpha1=0.0, alpha2=0.0).kappa)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams) if f.init])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
     def test_non_finite_params_rejected(self, name, bad):
         # a nan passes every `x < 0` check: it must be refused by name
         with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):

@@ -916,7 +916,8 @@ def _ref_step_strategy_exchange(y, mask, S, trend, params, dt, rng):
     rho_F = 1.0 - rho_C
     x_f = fundamentalist_profit(params, S)
     s_dot = trend * S
-    signal = (s_dot / params.mu_freq + params.dividend) / S - params.r_return
+    signal = (s_dot / params.mu_freq + params.dividend) / S \
+        - params.dividend / params.S_F
 
     to_fund = np.zeros(0, dtype=np.intp)
     if c_idx.size and rho_F > 0.0:
