@@ -36,7 +36,6 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,8 +157,7 @@ def classify_regime(traj: Trajectory, S_F: float) -> str:
     n = S.size
     if n < 200:
         raise ValueError(f"trajectory too short to classify ({n} records < 200)")
-    last_quarter = S[-(n // 4):]
-    slope = np.polyfit(np.arange(last_quarter.size), last_quarter, 1)[0]
+    slope = _slope(S[-(n // 4):])
     if S[-1] < 0.05 * S_F and slope <= 0.0:
         return "crash"
     if S[-1] > 3.0 * S_F and slope >= 0.0:
@@ -180,6 +178,13 @@ def classify_regime(traj: Trajectory, S_F: float) -> str:
     if np.max(np.abs(S - S[0])) / S[0] < 0.01:
         return "stationary"
     return "none"
+
+
+def _slope(path: np.ndarray) -> float:
+    """Least-squares slope of ``path`` against its index, in closed form over
+    the centred index: no polyfit, whose lstsq would start LAPACK."""
+    x = np.arange(path.size) - 0.5 * (path.size - 1)
+    return float(np.sum(x * (path - np.mean(path))) / np.sum(x * x))
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +215,8 @@ def _config_table(config: ExperimentConfig) -> dict:
 
 def _lognormal_overlay_grid(m: float, v: float) -> np.ndarray:
     """801 quantiles, from 1e-4 to 1 - 1e-4, of the lognormal law (m, v)."""
+    from statistics import NormalDist  # statistics loads decimal, random, ...
+
     inv_cdf = NormalDist().inv_cdf
     z = np.array([inv_cdf(q) for q in np.linspace(1e-4, 1.0 - 1e-4, 801)])
     return np.exp(m + np.sqrt(v) * z)

@@ -209,9 +209,19 @@ def lognormal_price_density(s, S_tau: float, E_tau: float):
     return _on_support(s, _positive, density)
 
 
+# entries _erfc converts to Python floats at a time
+_ERFC_BLOCK = 4096
+
+
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """math.erfc of each entry of a 1-d array (numpy has no erfc)."""
-    return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    """math.erfc of each entry of a 1-d array (numpy has no erfc), filled
+    block by block: a list of 50k Python floats would hold ~1.6 MB."""
+    out = np.empty(x.size)
+    for start in range(0, x.size, _ERFC_BLOCK):
+        block = x[start:start + _ERFC_BLOCK]
+        out[start:start + block.size] = np.fromiter(
+            map(math.erfc, block.tolist()), float, block.size)
+    return out
 
 
 def lognormal_price_cdf(s, S_tau: float, E_tau: float):

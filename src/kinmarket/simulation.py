@@ -78,8 +78,6 @@ __all__ = [
     "run",
 ]
 
-InitLaw = Callable[[np.random.Generator, int], np.ndarray]
-
 STREAM_LAYOUT = "SeedSequence(seed).spawn(4) -> SFC64: init, pairing, exchange, price"
 
 
@@ -130,7 +128,8 @@ _NAMED_INITS = {
 }
 
 
-def _init_law(init: str, params: ModelParams) -> InitLaw:
+def _init_law(init: str, params: ModelParams
+              ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """The (rng, n) -> propensities law named ``init``; ``equilibrium`` is the
     opinion equilibrium at Y* = 0 for the kappa of ``params``, built when it
     draws, so validating the name builds nothing."""
@@ -555,6 +554,6 @@ def run(config: SimConfig) -> Trajectory:
         t=t, S=S, Y=Y, rho_C=rho_C, rho_F=rho_F, E=E, n_chartists=n_chart,
         max_abs_y=max_abs_y, min_price=min_price, rejected=rejected,
         switch_cf=switch_cf, switch_fc=switch_fc, N=config.N,
-        y_final=ensemble.y.copy(),
-        s_final=s.copy(),
+        y_final=ensemble.y.copy(),  # not a view that keeps the capacity-N buffer
+        s_final=s,
     )

@@ -68,6 +68,11 @@ class Histogram:
                       self.edges[1:], self.counts, self.density)
 
 
+# values write_columns formats per block: its text and temporaries then hold
+# under 0.3 MB at any table size
+_BLOCK_VALUES = 4096
+
+
 def write_columns(path, header: str, *columns) -> None:
     """Write the equal-length ``columns`` to ``path``: one comma-separated
     row of "%.17g" values per index, under the line ``header`` unless it is
@@ -76,20 +81,26 @@ def write_columns(path, header: str, *columns) -> None:
     The columns pass through float64, so an int column is written exactly up
     to 2^53: above every count of a run, which is at most max(N, n_iters).
     """
-    # One % call makes the file one string of several MB.  Freeing it raises
-    # glibc's dynamic mmap threshold, so later 8*N-byte temporaries in the
-    # process come from the heap, not from fresh, faulting mmaps.  On test1
-    # (N = 50k, 2 vCPUs) that once took rng.choice at rho_C*dt = 1 from 158
-    # minor faults per iteration in a first run to 0.5 in later ones; that
-    # choice now runs on the thread that draws the pairing ahead, whose own
-    # arena serves it from the first run (2 faults per iteration, 0.5-0.9
-    # later).  Writing in 4,096-row blocks saved 3 MB of peak RSS, measured
-    # before that thread, when it kept every test1 run at 164 faults.
-    values = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    # Blocks of _BLOCK_VALUES values: one % over the table made a string of
+    # several MB (+2.4 MB of test2's peak RSS).  Freeing it raised glibc's
+    # mmap threshold, which once kept test1's 8*N-byte rng.choice temporaries
+    # off fresh, faulting mmaps; that choice now runs on the thread that draws
+    # the pairing ahead, whose own arena serves it.  With blocks, later runs
+    # in a process read 0.3-0.7 minor faults per iteration on test1 and
+    # test2, and up to 2.1 in test3b's exchange (0.1-0.3 with one %), at the
+    # same ms per iteration.
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns must have equal lengths")
+    rows = max(1, _BLOCK_VALUES // len(columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write((header + "\n" if header else "")
-                 + (row * len(values)) % tuple(values.ravel().tolist()))
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, n, rows):
+            block = np.column_stack([c[start:start + rows] for c in columns])
+            fh.write((line * len(block))
+                     % tuple(block.astype(float, copy=False).ravel().tolist()))
 
 
 def hill_tail_index(samples, k: int) -> float:
@@ -153,10 +164,6 @@ def hill_plateau(samples, k_min_frac: float = 0.01,
                     plateau_found=bool(spread <= _PLATEAU_SPREAD))
 
 
-# nodes and weights on [-1, 1]; exact for polynomials up to degree 31
-_GAUSS_LEGENDRE_16 = np.polynomial.legendre.leggauss(16)
-
-
 def l1_density_distance(hist: Histogram, density_fn) -> float:
     """L1 distance between a histogram and a unit-mass analytic density.
 
@@ -167,7 +174,9 @@ def l1_density_distance(hist: Histogram, density_fn) -> float:
     array of shape (bins, 16); it must accept arrays, and a value that
     broadcasts to that shape (a constant) is taken as the density everywhere.
     """
-    nodes, weights = _GAUSS_LEGENDRE_16
+    # nodes and weights on [-1, 1], exact for polynomials up to degree 31;
+    # made here, so that importing the package runs no eigvalsh
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     widths = hist.widths
     half = 0.5 * widths
     at = hist.centers[:, None] + half[:, None] * nodes

@@ -58,3 +58,18 @@ def test_differing_keys():
     assert ab.differing_keys(base, head) == ["b/run/stdout", "c/run/stdout",
                                              "d/run/stdout"]
     assert ab.differing_keys(base, dict(base)) == []
+
+
+def test_a_setup_row_reads_a_lower_head_as_a_win():
+    # --setup's line: fresh-interpreter set-up seconds, lower is better; the
+    # head is 10% faster in 9 of 10 pairs and slower in pair 4
+    base = [0.168, 0.171, 0.165, 0.150, 0.180, 0.169, 0.166, 0.175, 0.172, 0.170]
+    head = [0.9 * b for b in base]
+    head[3] = 0.160
+    line = ab.row("setup_s", "lower", base, head)
+    c = ab.compare(base, head, "lower")
+    assert c["wins"] == 9
+    assert line.split()[:3] == ["setup_s", "lower", "0.1695"]
+    assert line.endswith(f"{c['ratio']:.3f} [{c['interval'][0]:.3f}, "
+                         f"{c['interval'][1]:.3f}]       9/10")
+    assert c["ratio"] < 1.0 and c["interval"][1] < 1.0

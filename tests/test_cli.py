@@ -19,6 +19,7 @@ from kinmarket.cli import (
     PRESETS,
     _build_parser,
     _lognormal_overlay_grid,
+    _slope,
     classify_regime,
     load_config_file,
     main,
@@ -155,6 +156,16 @@ class TestClassifyRegime:
         S = 20.0 + 3.0 * np.sin(np.arange(600.0) / 25.0)
         tr = synthetic_trajectory(S)
         assert classify_regime(tr, 20.0) == classify_regime(tr, 20.0)
+
+    def test_slope_matches_polyfit(self):
+        # the tags read the last quarter's least-squares slope
+        rng = np.random.default_rng(12)
+        for n in (50, 150, 501):
+            i = np.arange(n)
+            for path in (20.0 + np.cumsum(rng.normal(size=n)),
+                         rng.lognormal(size=n), 3.0 - 0.25 * i, 20.0 + 1e-3 * i):
+                assert _slope(path) == pytest.approx(np.polyfit(i, path, 1)[0],
+                                                     rel=1e-9)
 
 
 SMALL = ["--set", "N=400", "--set", "N_s=400", "--set", "n_iters=60"]
@@ -761,6 +772,24 @@ class TestNumpyOnly:
                 "import kinmarket, kinmarket.cli\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[0] in ('concurrent', 'logging')))\n")
+        src = str(Path(kinmarket.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_setup_loads_no_numpy_random_polynomial_or_statistics(self):
+        # a benchmark's set-up is a fresh import and a resolved preset;
+        # numpy.random is loaded where a run draws, numpy.polynomial where an
+        # L1 distance is taken, statistics where a lognormal overlay is made
+        code = ("import sys\n"
+                "import kinmarket, kinmarket.cli\n"
+                "for name in kinmarket.cli.PRESETS:\n"
+                "    kinmarket.cli.preset(name)\n"
+                "print(sorted({'numpy.random', 'numpy.polynomial', 'statistics'}\n"
+                "             & set(sys.modules)))\n")
         src = str(Path(kinmarket.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

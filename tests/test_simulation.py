@@ -772,19 +772,24 @@ class TestRun:
             assert (tmp_path / f"{name}.txt").read_bytes() == \
                 (tmp_path / f"{name}_ref.txt").read_bytes()
 
-    @pytest.mark.parametrize("values", [
-        np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 1.0 / 3.0]),
-        np.zeros(0),
-    ], ids=["special", "empty"])
-    def test_write_columns_bytes_match_a_per_row_format(self, tmp_path, values):
+    @pytest.mark.parametrize("columns", [
         # an int64 column stays exact up to 2^53, above every count a run
         # writes (at most max(N, n_iters))
-        counts = np.array([0, 1, 7, 50000, 2**40 + 1, 2**53 - 1, 123][:values.size],
-                          dtype=np.int64)
+        [np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 1.0 / 3.0]),
+         np.array([0, 1, 7, 50000, 2**40 + 1, 2**53 - 1, 123], dtype=np.int64)],
+        [np.zeros(0), np.zeros(0, dtype=np.int64)],
+        # tables that cross the writer's block of values: a sample file, and
+        # a trajectory's 12 columns with its int iteration index
+        [np.random.default_rng(8).lognormal(size=10_001)],
+        [np.arange(2001)] + list(np.random.default_rng(9).normal(size=(11, 2001))),
+    ], ids=["special", "empty", "10001x1", "2001x12"])
+    def test_write_columns_bytes_match_a_per_row_format(self, tmp_path, columns):
         path = tmp_path / "c.csv"
-        kinmarket.stats.write_columns(path, "x,count", values, counts)
+        kinmarket.stats.write_columns(path, "x,count", *columns)
         assert path.read_text() == "x,count\n" + "".join(
-            f"{v:.17g},{c}\n" for v, c in zip(values, counts))
+            ",".join(f"{v}" if isinstance(v, np.integer) else f"{v:.17g}"
+                     for v in row) + "\n"
+            for row in zip(*columns))
 
     def test_csv_export_round_trips(self, tmp_path):
         path = tmp_path / "trajectory.csv"

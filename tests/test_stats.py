@@ -1,5 +1,7 @@
 """Diagnostics: histograms, Hill estimator, L1 distance, lognormal fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -13,6 +15,7 @@ from kinmarket.stats import (
     ks_statistic,
     l1_density_distance,
     lognormal_fit,
+    write_columns,
 )
 
 
@@ -198,3 +201,31 @@ class TestKsStatistic:
         rng = np.random.default_rng(17)
         x = rng.random(20000) + 0.2
         assert ks_statistic(x, lambda t: np.clip(t, 0.0, 1.0)) > 0.15
+
+
+def _traced_peak_mb(f) -> float:
+    """Peak of the Python and numpy allocations made while f() runs, in MB."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTracedPeaks:
+    # the analysis tail holds one block of a table, not the table: a 50k
+    # sample file, or a 2,001-iteration trajectory of 12 columns, is 0.4 MB
+    # of doubles and 1-3 MB as Python floats and text
+    @pytest.mark.parametrize("rows, cols", [(50_000, 1), (2001, 12)])
+    def test_write_columns(self, tmp_path, rows, cols):
+        columns = np.random.default_rng(10).random((cols, rows))
+        assert _traced_peak_mb(
+            lambda: write_columns(tmp_path / "c.csv", "h", *columns)) <= 1.0
+
+    def test_ks_statistic_against_the_lognormal(self):
+        S, E = 10.0, 115.0
+        m, v = np.log(S * S / np.sqrt(E)), np.log(E / (S * S))
+        x = np.random.default_rng(11).lognormal(m, np.sqrt(v), 50_000)
+        assert _traced_peak_mb(
+            lambda: ks_statistic(x, lambda t: lognormal_price_cdf(t, S, E))) <= 2.5

@@ -1,6 +1,7 @@
 """A/B runner: the benchmark and the golden digests of two trees, side by side.
 
     python3 tools/ab.py --base REV [--head REV] --workload W --pairs K
+    python3 tools/ab.py --base REV [--head REV] --workload W --setup K
     python3 tools/ab.py --base REV [--head REV] --bytes
 
 Each revision is checked out with ``git worktree add --detach`` under
@@ -17,6 +18,12 @@ ratio of the medians with a 95% bootstrap interval over the pairs (seeded: a
 re-run of the same numbers prints the same interval) and the number of pairs
 the head won; then each side's count of runs that read ``correct: false`` and
 of failed operations.
+
+``--setup K`` makes K pairs of set-up timings in place of the benchmark runs,
+alternating the same way: each is the ``time_setup`` of the tree's own
+``bench/harness.py`` (seconds from a fresh interpreter to workload W's preset
+resolved), called in a subprocess on that tree's ``bench/`` and ``src/``.  It
+prints one line of the same table, for ``setup_s``.
 
 ``--bytes`` runs each tree's ``tests/test_golden.py::digests`` in a
 subprocess on that tree's ``src/`` and lists the keys whose digests differ.
@@ -45,6 +52,13 @@ from test_golden import digests
 with tempfile.TemporaryDirectory() as d:
     print(json.dumps(digests(pathlib.Path(d))))
 """
+SETUP = """
+import sys
+import harness
+print(harness.time_setup(harness.WORKLOADS[sys.argv[1]][1]))
+"""
+HEADER = (f"{'metric':<16} {'better':<7} {'base':<28} {'head':<28} "
+          f"{'head/base [95%]':<24} head wins")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -65,6 +79,16 @@ def compare(base, head, better: str, n_boot: int = BOOTSTRAP, seed: int = 0) -> 
             "ratio": float(np.median(head) / np.median(base)),
             "interval": tuple(float(q) for q in np.percentile(boot, [2.5, 97.5])),
             "wins": int(np.count_nonzero(wins)), "pairs": base.size}
+
+
+def row(metric: str, better: str, base, head) -> str:
+    """The line of ``metric`` under HEADER: both sides' median [q1, q3], the
+    head/base ratio [95%] and the pairs the head won, from ``compare``."""
+    c = compare(base, head, better)
+    cell = {s: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*c[s]) for s in ("base", "head")}
+    return (f"{metric:<16} {better:<7} {cell['base']:<28} {cell['head']:<28} "
+            f"{c['ratio']:.3f} [{c['interval'][0]:.3f}, {c['interval'][1]:.3f}]"
+            f"{'':<6} {c['wins']}/{c['pairs']}")
 
 
 def differing_keys(base: dict, head: dict) -> list[str]:
@@ -122,27 +146,47 @@ def digests(path: Path) -> dict:
     return _last_json([sys.executable, "-c", DIGESTS], path, env)
 
 
-def _timing(trees: dict, workload: str, pairs: int) -> None:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"]
+def setup_seconds(path: Path, workload: str) -> float:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(path / "bench"),
+                                                       str(path / "src")]))
+    return _last_json([sys.executable, "-c", SETUP, workload], path, env)
+
+
+def _alternate(trees: dict, pairs: int, measure) -> dict:
+    """measure(side, j) for pairs j = 1..pairs, the head first on odd j."""
     runs = {side: [] for side in trees}
     for j in range(1, pairs + 1):
         for side in (("head", "base") if j % 2 else ("base", "head")):
-            runs[side].append(bench(trees[side], workload, j, seconds))
-        print(f"pair {j}: " + ", ".join(
-            f"{side} {runs[side][-1]['metrics']['sim_iters_per_s']['value']:.1f} iter/s"
-            for side in trees), file=sys.stderr, flush=True)
+            runs[side].append(measure(side, j))
+    return runs
+
+
+def _setup_timing(trees: dict, workload: str, pairs: int) -> None:
+    runs = _alternate(trees, pairs,
+                      lambda side, j: setup_seconds(trees[side], workload))
+    print(f"{workload} set-up, {pairs} pairs of fresh interpreters; "
+          "median [q1, q3]")
+    print(HEADER)
+    print(row("setup_s", "lower", runs["base"], runs["head"]))
+
+
+def _timing(trees: dict, workload: str, pairs: int) -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+
+    def measure(side, j):
+        r = bench(trees[side], workload, j, seconds)
+        print(f"pair {j}: {side} {r['metrics']['sim_iters_per_s']['value']:.1f} "
+              "iter/s", file=sys.stderr, flush=True)
+        return r
+
+    runs = _alternate(trees, pairs, measure)
     print(f"{workload}, {pairs} pairs at {seconds:g} s; median [q1, q3]")
-    print(f"{'metric':<16} {'better':<7} {'base':<28} {'head':<28} "
-          f"{'head/base [95%]':<24} head wins")
+    print(HEADER)
     for m in spec["end_to_end"]:
         value = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
                  for side in trees}
-        c = compare(value["base"], value["head"], m["better"])
-        cell = {s: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*c[s]) for s in trees}
-        print(f"{m['name']:<16} {m['better']:<7} {cell['base']:<28} "
-              f"{cell['head']:<28} {c['ratio']:.3f} [{c['interval'][0]:.3f}, "
-              f"{c['interval'][1]:.3f}]{'':<6} {c['wins']}/{c['pairs']}")
+        print(row(m["name"], m["better"], value["base"], value["head"]))
     for side in trees:
         print(f"{side}: {sum(not r['correct'] for r in runs[side])} of {pairs} "
               f"runs not correct, {sum(r['failed'] for r in runs[side])} of "
@@ -155,11 +199,15 @@ def main(argv=None) -> int:
     ap.add_argument("--head", help="head revision (default: the working tree)")
     ap.add_argument("--workload", help="benchmark workload to time")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--setup", type=int, metavar="K",
+                    help="time K pairs of the workload's set-up, not its runs")
     ap.add_argument("--bytes", action="store_true",
                     help="list the golden digests that differ")
     args = ap.parse_args(argv)
     if not (args.workload or args.bytes):
         ap.error("give --workload, --bytes or both")
+    if args.setup and not args.workload:
+        ap.error("--setup times a workload's set-up: give --workload")
     head = "working tree" if args.head is None else _git("rev-parse", "--short", args.head)
     print(f"base {_git('rev-parse', '--short', args.base)}, head {head}")
     with tree(args.base, "base") as base_path, tree(args.head, "head") as head_path:
@@ -167,7 +215,9 @@ def main(argv=None) -> int:
         if args.bytes:
             keys = differing_keys(digests(base_path), digests(head_path))
             print(f"{len(keys)} golden digests differ" + "".join(f"\n  {k}" for k in keys))
-        if args.workload:
+        if args.setup:
+            _setup_timing(trees, args.workload, args.setup)
+        elif args.workload:
             _timing(trees, args.workload, args.pairs)
     return 0
 
