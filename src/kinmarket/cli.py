@@ -347,8 +347,6 @@ def _analyze_outputs(config: ExperimentConfig, out: Path) -> dict:
         grid = _lognormal_overlay_grid(*fp.lognormal_log_params(S0, E_T))
         stats.write_columns(out / "lognormal_fp.csv", "x,density", grid,
                             fp.lognormal_price_density(grid, S0, E_T))
-        summary["lognormal_S_ref"] = S0
-        summary["lognormal_E"] = E_T
         summary["ks_lognormal"] = stats.ks_statistic(
             s, lambda x: fp.lognormal_price_cdf(x, S0, E_T))
         summary["log_mean_fit"], summary["log_var_fit"] = stats.lognormal_fit(s)

@@ -12,7 +12,8 @@ long-time solutions:
   fundamentalists hold a finite population share,
 
 together with the deterministic mean-value ODE system, an equilibrium
-classifier and the fixed-point solver for the locked mean propensity.
+classifier, the fixed-point solver for the locked mean propensity, and the
+mean-field (N -> infinity) price path of a switching run.
 
 The oracles read ``ModelParams``.  The closed forms a run uses are ratios of
 rates, so the time step, which the limit takes as its scaling parameter,
@@ -34,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, NumericsError, price_drift
+from .model import (ModelParams, NumericsError, chartist_profit, diffusion,
+                    fundamentalist_profit, herding, price_drift,
+                    switch_probability, value_function)
 
 __all__ = [
     "ChartistEquilibrium",
@@ -45,6 +48,7 @@ __all__ = [
     "solve_macro_ode",
     "classify_equilibrium",
     "solve_Y_fixed_point",
+    "mean_field_price",
 ]
 
 # the normalization sums over u in [-_U_MAX, _U_MAX], on 2 * _HALF_NODES
@@ -56,6 +60,10 @@ _LOG_MASS_TOL = 1e-10
 _EQUILIBRIUM_EPS = 1e-8
 _ROOT_GRID = 10001
 _ROOT_TOL = 1e-12
+# mean_field_price's Gauss-Legendre nodes for the opinion noise, and the
+# relative offset of its initial price from the preset's equilibrium
+_MEAN_FIELD_NODES = 4
+_MEAN_FIELD_OFFSET = 1e-3
 
 
 def _on_support(x, inside, f):
@@ -397,3 +405,63 @@ def solve_Y_fixed_point(phi, beta: float, t_C: float) -> np.ndarray:
         if r - keep[-1] > 1e-9:
             keep.append(r)
     return np.asarray(keep)
+
+
+def mean_field_price(sim, n_grid: int = 101) -> np.ndarray:
+    """Mean price of a switching preset under its N -> infinity mean-field equations.
+
+    The deterministic counterpart of ``run(sim)`` for a ``sim`` set up as the
+    ``test3`` presets are (switching on, no re-centering, a uniform initial
+    law), over its dt and n_iters.  The propensity law is a mass vector on
+    ``n_grid`` points over [-1, 1], updated in the engine's order: a share
+    rho_C dt of it interacts with a partner drawn from the law (the noise
+    integrated by 4 Gauss-Legendre nodes, y' split between the two nearest
+    points), switching moves mass by ``model.switch_probability`` (arrivals
+    take the law's own shape), and the mean price moves by
+    ``model.price_drift``.  The initial price is offset by the relative 1e-3
+    from the preset's equilibrium, which the Monte Carlo leaves through
+    finite-N noise.  Raises ValueError where the noise carries y' out of
+    [-1, 1]: the engine's rejections have no term here.  Returns the
+    n_iters + 1 mean prices.
+    """
+    # loaded here, so that a run or an analysis loads no numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    p, dt = sim.params, sim.dt
+    y = np.linspace(-1.0, 1.0, n_grid)
+    h = y[1] - y[0]
+    m = np.full(n_grid, sim.rho_C0 / (n_grid - 1))  # trapezoid uniform law
+    m[[0, -1]] *= 0.5
+    nodes, weights = leggauss(_MEAN_FIELD_NODES)
+    eta = math.sqrt(3.0 * p.sigma2_opinion) * nodes
+    a1h = p.alpha1 * herding(p, y)
+    # y' without the trend term, indexed by (y, partner, noise node)
+    y_mix = ((1.0 - a1h - p.alpha2) * y)[:, None, None] \
+        + a1h[:, None, None] * y[None, :, None] \
+        + diffusion(p, y)[:, None, None] * eta
+    S = [sim.S0 * (1.0 + _MEAN_FIELD_OFFSET)]
+    trend = 0.0
+    for _ in range(sim.n_iters):
+        s = S[-1]
+        rho_C = m.sum()
+        rho_F = 1.0 - rho_C
+        Y = m @ y / rho_C
+        y_new = y_mix + p.alpha2 * value_function(sim.value_spec, trend)
+        if np.abs(y_new).max() > 1.0:
+            raise ValueError("mean-field propensity left [-1, 1]: the opinion "
+                             "noise is inadmissible for this configuration")
+        pos = (y_new + 1.0) / h
+        lo = np.minimum(pos.astype(int), n_grid - 2)
+        frac = pos - lo
+        w = m[:, None, None] * (m / rho_C)[None, :, None] * (weights / 2.0)
+        met = np.bincount(lo.ravel(), (w * (1.0 - frac)).ravel(), n_grid) \
+            + np.bincount(lo.ravel() + 1, (w * frac).ravel(), n_grid)
+        m = (1.0 - rho_C * dt) * m + rho_C * dt * met
+        x_f = fundamentalist_profit(p, s)
+        x_c = chartist_profit(p, y, s, trend * s)
+        p_cf = switch_probability(p, dt, rho_F, x_f - x_c)
+        p_fc = switch_probability(p, dt, rho_C, x_c - x_f)
+        m = m * (1.0 - p_cf) + rho_F * (m / rho_C) * p_fc
+        S.append(s + dt * p.beta * price_drift(p, s, Y, rho_C))
+        trend = (S[-1] - s) / (dt * S[-1])
+    return np.asarray(S)

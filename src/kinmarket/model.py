@@ -33,6 +33,7 @@ __all__ = [
     "chartist_profit",
     "fundamentalist_profit",
     "switch_rate",
+    "switch_probability",
     "price_noise_halfwidth",
 ]
 
@@ -232,6 +233,14 @@ def switch_rate(params: ModelParams, x):
     rate = np.exp(np.minimum(np.multiply(params.sigma_switch, x),
                              _MAX_SWITCH_EXPONENT))
     return float(rate) if np.ndim(x) == 0 else rate
+
+
+def switch_probability(params: ModelParams, dt: float, rho_other: float,
+                       payoff_gain):
+    """min(1, dt mu rho_other switch_rate(payoff_gain)): one step's switch
+    probability into the strategy of population share rho_other."""
+    return np.minimum(1.0, dt * params.mu_freq * rho_other
+                      * switch_rate(params, payoff_gain))
 
 
 def price_noise_halfwidth(params: ModelParams, rho_C: float, dt: float) -> float:

@@ -63,7 +63,7 @@ from .model import (
     herding,
     price_drift,
     price_noise_halfwidth,
-    switch_rate,
+    switch_probability,
     value_function,
 )
 
@@ -412,13 +412,6 @@ def step_price(s: np.ndarray, Y: float, rho_C: float,
     return s_min
 
 
-def _switch_probabilities(params: ModelParams, dt: float, rho_other: float,
-                          payoff_gain) -> np.ndarray:
-    """min(1, dt * mu * rho_other * switch_rate(payoff_gain))."""
-    return np.minimum(1.0, dt * params.mu_freq * rho_other
-                      * switch_rate(params, payoff_gain))
-
-
 # the values of sgn(y): a chartist's profit depends on y only through them
 _SIGNS = np.array([-1.0, 0.0, 1.0])
 
@@ -452,8 +445,8 @@ def step_strategy_exchange(ensemble: AgentEnsemble, S: float, trend: float,
         return 0, 0
     rho_C = n_c / ensemble.N
     x_c = chartist_profit(params, _SIGNS, S, trend * S)
-    p_cf = _switch_probabilities(params, dt, 1.0 - rho_C, x_f - x_c)
-    p_fc = _switch_probabilities(params, dt, rho_C, x_c - x_f)
+    p_cf = switch_probability(params, dt, 1.0 - rho_C, x_f - x_c)
+    p_fc = switch_probability(params, dt, rho_C, x_c - x_f)
     classes = (y < 0.0, None, y > 0.0)  # zeros: counted by subtraction
     n_neg, n_pos = np.count_nonzero(classes[0]), np.count_nonzero(classes[2])
     n_s = np.array([n_neg, n_c - n_neg - n_pos, n_pos])

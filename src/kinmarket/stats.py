@@ -164,6 +164,19 @@ def hill_plateau(samples, k_min_frac: float = 0.01,
                     plateau_found=bool(spread <= _PLATEAU_SPREAD))
 
 
+# numpy's leggauss(16) written out, so that an analysis loads no
+# numpy.polynomial and runs no eigvalsh: the 16-node Gauss-Legendre rule on
+# [-1, 1], exact to degree 31, whose nodes and weights are exactly symmetric
+_GL16_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+           0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+           0.9445750230732326, 0.9894009349916499)
+_GL16_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+           0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+           0.062253523938647456, 0.027152459411754176)
+_GL16_NODES = np.concatenate([np.negative(_GL16_X[::-1]), _GL16_X])
+_GL16_WEIGHTS = np.concatenate([_GL16_W[::-1], _GL16_W])
+
+
 def l1_density_distance(hist: Histogram, density_fn) -> float:
     """L1 distance between a histogram and a unit-mass analytic density.
 
@@ -174,14 +187,11 @@ def l1_density_distance(hist: Histogram, density_fn) -> float:
     array of shape (bins, 16); it must accept arrays, and a value that
     broadcasts to that shape (a constant) is taken as the density everywhere.
     """
-    # nodes and weights on [-1, 1], exact for polynomials up to degree 31;
-    # made here, so that importing the package runs no eigvalsh
-    nodes, weights = np.polynomial.legendre.leggauss(16)
     widths = hist.widths
     half = 0.5 * widths
-    at = hist.centers[:, None] + half[:, None] * nodes
+    at = hist.centers[:, None] + half[:, None] * _GL16_NODES
     values = np.broadcast_to(np.asarray(density_fn(at), dtype=float), at.shape)
-    cell_mass = (values @ weights) * half
+    cell_mass = (values @ _GL16_WEIGHTS) * half
     inner = float(np.sum(np.abs(hist.density - cell_mass / widths) * widths))
     return inner + max(0.0, 1.0 - float(np.sum(cell_mass)))
 

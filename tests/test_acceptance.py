@@ -23,16 +23,7 @@ from scipy.integrate import quad
 from kinmarket import fokker_planck as fp
 from kinmarket import stats
 from kinmarket.cli import classify_regime, preset
-from kinmarket.model import (
-    ModelParams,
-    ValueFunctionSpec,
-    chartist_profit,
-    diffusion,
-    fundamentalist_profit,
-    herding,
-    switch_rate,
-    value_function,
-)
+from kinmarket.model import ModelParams, ValueFunctionSpec
 from kinmarket.simulation import SimConfig, run
 
 pytestmark = pytest.mark.acceptance
@@ -131,76 +122,14 @@ def test_criterion_3_pareto_tail(test2_traj):
     assert ok
 
 
-def mean_field_price(name: str, n_grid: int = 101, n_nodes: int = 4,
-                     perturb: float = 1e-3) -> np.ndarray:
-    """Mean price of a switching preset under its mean-field equations.
-
-    The deterministic N -> infinity counterpart of the Monte Carlo run, built
-    from the formulas in ``kinmarket.model`` only.  The chartist propensity
-    law is a mass vector on a uniform grid over [-1, 1] (total mass rho_C),
-    updated in the engine's order each iteration:
-
-    * a fraction rho_C dt of it meets a partner drawn from the law and moves
-      to y' = (1 - a1 H(y) - a2) y + a1 H(y) y* + a2 Phi(trend) + D(y) eta,
-      with eta integrated by Gauss-Legendre nodes over its uniform support
-      and y' split between the two nearest grid points (mean-preserving);
-    * switching removes the share p_CF(y) of the mass at y and adds
-      rho_F p_FC(y) times the law's own shape (fundamentalists adopt the
-      propensity they evaluated);
-    * the mean price takes the mean sample update, whose noise has mean zero.
-
-    The preset starts at an exact equilibrium, which the Monte Carlo leaves
-    through finite-N fluctuations; here the initial price is offset by the
-    relative amount ``perturb`` instead.
-    """
-    sim = preset(name).sim
-    p, dt = sim.params, sim.dt
-    y = np.linspace(-1.0, 1.0, n_grid)
-    h = y[1] - y[0]
-    m = np.full(n_grid, sim.rho_C0 / (n_grid - 1))  # trapezoid uniform law
-    m[[0, -1]] *= 0.5
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    eta = math.sqrt(3.0 * p.sigma2_opinion) * nodes
-    a1h = p.alpha1 * herding(p, y)
-    # y' without the trend term, indexed by (y, partner, noise node)
-    y_mix = ((1.0 - a1h - p.alpha2) * y)[:, None, None] \
-        + a1h[:, None, None] * y[None, :, None] \
-        + diffusion(p, y)[:, None, None] * eta
-    S = [sim.S0 * (1.0 + perturb)]
-    trend = 0.0
-    for _ in range(sim.n_iters):
-        s = S[-1]
-        rho_C = m.sum()
-        rho_F = 1.0 - rho_C
-        Y = m @ y / rho_C
-        y_new = y_mix + p.alpha2 * value_function(sim.value_spec, trend)
-        # the opinion-noise support bound rules out rejected interactions
-        assert np.abs(y_new).max() <= 1.0
-        pos = (y_new + 1.0) / h
-        lo = np.minimum(pos.astype(int), n_grid - 2)
-        frac = pos - lo
-        w = m[:, None, None] * (m / rho_C)[None, :, None] * (weights / 2.0)
-        met = np.bincount(lo.ravel(), (w * (1.0 - frac)).ravel(), n_grid) \
-            + np.bincount(lo.ravel() + 1, (w * frac).ravel(), n_grid)
-        m = (1.0 - rho_C * dt) * m + rho_C * dt * met
-        x_f = fundamentalist_profit(p, s)
-        x_c = chartist_profit(p, y, s, trend * s)
-        p_cf = np.minimum(1.0, dt * p.mu_freq * rho_F * switch_rate(p, x_f - x_c))
-        p_fc = np.minimum(1.0, dt * p.mu_freq * rho_C * switch_rate(p, x_c - x_f))
-        m = m * (1.0 - p_cf) + rho_F * (m / rho_C) * p_fc
-        S.append(s + dt * p.beta * (rho_C * p.t_C * Y * s
-                                    + rho_F * p.gamma_f * (p.S_F - s)))
-        trend = (S[-1] - s) / (dt * S[-1])
-    return np.asarray(S)
-
-
 def test_criterion_4_regime_map(test3_trajs):
     """Majority regime of each switching preset over a ten-seed sweep.
 
     The checked map is test3a damped_to_SF, test3b oscillatory, test3c
     damped_to_SF.  Each target must also be the regime of the preset's
-    deterministic mean-field solution (``mean_field_price``), so the map is
-    that of the model's equations rather than of one sampled realization.
+    deterministic mean-field solution (``fokker_planck.mean_field_price``, at
+    its default 101 grid points), so the map is that of the model's equations
+    rather than of one sampled realization.
 
     'crash' is not a target: while any fundamentalist remains, the
     fundamentalist payoff beats every reachable chartist payoff within the
@@ -217,8 +146,8 @@ def test_criterion_4_regime_map(test3_trajs):
     details = []
     for name, target in want.items():
         tags = Counter(classify_regime(t, S_F) for t in test3_trajs[name])
-        mean_field = classify_regime(SimpleNamespace(S=mean_field_price(name)),
-                                     S_F)
+        mean_field = classify_regime(
+            SimpleNamespace(S=fp.mean_field_price(preset(name).sim)), S_F)
         ok = ok and tags.get(target, 0) >= 8 and mean_field == target
         min_rho_F = min(float(np.min(t.rho_F)) for t in test3_trajs[name])
         details.append(f"{name}: want {target} (mean field and >=8/10 runs), "

@@ -739,6 +739,17 @@ class TestMainCommand:
         assert len(builds) == 1
 
 
+def _fresh_python(code: str, cwd=None, timeout: float = 60) -> str:
+    """The last line ``code`` prints in a fresh interpreter on this source."""
+    src = str(Path(kinmarket.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 class TestNumpyOnly:
     def test_run_and_analyze_load_no_scipy(self, tmp_path):
         # a fresh interpreter: import, resolve every preset, run each small,
@@ -756,13 +767,7 @@ class TestNumpyOnly:
             "print('scipy:', sorted(m for m in sys.modules\n"
             "                       if m.split('.')[0] == 'scipy'))\n"
         )
-        src = str(Path(kinmarket.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "scipy: []"
+        assert _fresh_python(code, tmp_path, timeout=300) == "scipy: []"
 
     def test_import_loads_no_logging(self):
         # concurrent.futures would load logging, whose import time counts in
@@ -772,31 +777,29 @@ class TestNumpyOnly:
                 "import kinmarket, kinmarket.cli\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[0] in ('concurrent', 'logging')))\n")
-        src = str(Path(kinmarket.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert _fresh_python(code) == "[]"
 
     def test_setup_loads_no_numpy_random_polynomial_or_statistics(self):
         # a benchmark's set-up is a fresh import and a resolved preset;
-        # numpy.random is loaded where a run draws, numpy.polynomial where an
-        # L1 distance is taken, statistics where a lognormal overlay is made
+        # numpy.random is loaded where a run draws, numpy.polynomial where a
+        # mean field is solved, statistics where a lognormal overlay is made
         code = ("import sys\n"
                 "import kinmarket, kinmarket.cli\n"
                 "for name in kinmarket.cli.PRESETS:\n"
                 "    kinmarket.cli.preset(name)\n"
                 "print(sorted({'numpy.random', 'numpy.polynomial', 'statistics'}\n"
                 "             & set(sys.modules)))\n")
-        src = str(Path(kinmarket.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert _fresh_python(code) == "[]"
+
+    def test_test1_run_loads_no_numpy_polynomial(self, tmp_path):
+        # its analysis takes the L1 distance on a written-out Gauss-Legendre
+        # rule: no leggauss, so no numpy.polynomial and no LAPACK
+        code = ("import sys\n"
+                "from kinmarket.cli import main\n"
+                f"assert main(['run', '--preset', 'test1', '--out', 'r'] + {SMALL}) == 0\n"
+                "print('numpy.polynomial' in sys.modules)\n")
+        assert _fresh_python(code, tmp_path) == "False"
+        assert "l1_chartist=" in (tmp_path / "r" / "summary.txt").read_text()
 
     def test_src_imports_no_scipy(self):
         # every import statement of the package, lazy ones inside a function too

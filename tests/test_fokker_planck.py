@@ -1,6 +1,8 @@
-"""Closed-form oracles: densities, moments, ODE skeleton, classifier."""
+"""Closed-form oracles: densities, moments, ODE skeleton, classifier, mean field."""
 
+import importlib.util
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, ndtr
 
+from kinmarket.cli import preset
 from kinmarket.fokker_planck import (
     ChartistEquilibrium,
     ParetoSteadyState,
@@ -16,11 +19,18 @@ from kinmarket.fokker_planck import (
     classify_equilibrium,
     lognormal_price_cdf,
     lognormal_price_density,
+    mean_field_price,
     pareto_steady_state,
     solve_macro_ode,
     solve_Y_fixed_point,
 )
 from kinmarket.model import ModelParams, NumericsError, ValueFunctionSpec
+
+# the benchmark's own copy of the mean-field solver, loaded by path
+_spec = importlib.util.spec_from_file_location(
+    "oracles", Path(__file__).resolve().parent.parent / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 class TestChartistEquilibrium:
@@ -294,6 +304,23 @@ class TestMacroOde:
         p = ModelParams(beta=0.1, t_C=1.0, gamma_f=1.0, S_F=20.0)
         with pytest.raises(PriceCollapse):
             solve_macro_ode(-1.0, 0.0, 1.0, p, T=0.1, dt=0.1, phi=self.phi)
+
+
+class TestMeanField:
+    @pytest.mark.parametrize("name", ["test3a", "test3b", "test3c"])
+    def test_equals_the_benchmark_copy_bit_for_bit(self, name):
+        sim = preset(name, {"n_iters": 300}).sim
+        S = mean_field_price(sim, oracles.MEAN_FIELD_GRID)
+        assert S.size == 301 and S[0] == sim.S0 * (1.0 + 1e-3)
+        assert S.tobytes() == oracles.mean_field_price(sim).tobytes()
+
+    def test_refuses_noise_that_leaves_the_unit_interval(self):
+        # gamma_diff = 2 puts no bound on the opinion noise, and at y = 0,
+        # D = 1, a node of +-0.86 sqrt(1.5) carries y' past 1
+        sim = preset("test3b", {"gamma_diff": 2.0, "sigma2_opinion": 0.5,
+                                "n_iters": 5}).sim
+        with pytest.raises(ValueError, match=r"left \[-1, 1\]"):
+            mean_field_price(sim)
 
 
 class TestEquilibriumClassifier:

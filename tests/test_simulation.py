@@ -21,6 +21,7 @@ from kinmarket.model import (
     ValueFunctionSpec,
     chartist_profit,
     fundamentalist_profit,
+    switch_probability,
     value_function,
 )
 from kinmarket.simulation import (
@@ -32,7 +33,6 @@ from kinmarket.simulation import (
     step_chartists,
     step_price,
     step_strategy_exchange,
-    _switch_probabilities,
 )
 
 
@@ -299,15 +299,15 @@ class TestStrategyExchange:
 
     def test_probabilities_scale_with_dt_mu_rho(self):
         p = self.params()
-        base = _switch_probabilities(p, 1.0, 0.5, np.array([0.0]))
+        base = switch_probability(p, 1.0, 0.5, np.array([0.0]))
         assert base[0] == pytest.approx(1.0 * p.mu_freq * 0.5, rel=1e-15)
         # dt * mu * rho -> 0 sends every switch probability to 0
-        assert _switch_probabilities(p, 1e-12, 0.5, np.array([0.0]))[0] < 1e-12
-        assert _switch_probabilities(p, 1.0, 0.0, np.array([5.0]))[0] == 0.0
+        assert switch_probability(p, 1e-12, 0.5, np.array([0.0]))[0] < 1e-12
+        assert switch_probability(p, 1.0, 0.0, np.array([5.0]))[0] == 0.0
 
     def test_probabilities_capped_at_one(self):
         p = self.params()
-        assert _switch_probabilities(p, 1.0, 1.0, np.array([1e6]))[0] == 1.0
+        assert switch_probability(p, 1.0, 1.0, np.array([1e6]))[0] == 1.0
 
     def test_balanced_market_has_zero_expected_flux(self):
         # at S = S_F with zero trend both payoffs vanish, so the two switch
@@ -441,8 +441,8 @@ class TestStrategyExchange:
         gain = min(margins)
         rho_F = np.linspace(1.0 / sim.N, 1.0 - 1.0 / sim.N, 101)
         rho_C = 1.0 - rho_F
-        p_cf = _switch_probabilities(p, dt, rho_F, gain)
-        p_fc = _switch_probabilities(p, dt, rho_C, -gain)
+        p_cf = switch_probability(p, dt, rho_F, gain)
+        p_fc = switch_probability(p, dt, rho_C, -gain)
         assert np.all(rho_C * p_cf - rho_F * p_fc > 0.0)
 
 
@@ -453,8 +453,8 @@ def _compacting_exchange(y, n_f, S, trend, params, rng):
     x_f = fundamentalist_profit(params, S)
     x_c = chartist_profit(params, np.array([-1.0, 0.0, 1.0]), S, trend * S)
     rho_C = y.size / (y.size + n_f)
-    p_cf = _switch_probabilities(params, 1.0, 1.0 - rho_C, x_f - x_c)
-    p_fc = _switch_probabilities(params, 1.0, rho_C, x_c - x_f)
+    p_cf = switch_probability(params, 1.0, 1.0 - rho_C, x_f - x_c)
+    p_fc = switch_probability(params, 1.0, rho_C, x_c - x_f)
     classes = (y < 0.0, y == 0.0, y > 0.0)
     n_s = np.array([np.count_nonzero(c) for c in classes])
     leave = rng.binomial(n_s, p_cf)

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sp_stats
 from scipy.integrate import quad
 
+from kinmarket import stats
 from kinmarket.fokker_planck import ChartistEquilibrium, lognormal_price_cdf
 from kinmarket.stats import (
     Histogram,
@@ -146,6 +147,12 @@ class TestL1Distance:
         h = Histogram.from_samples(np.random.default_rng(14).random(500),
                                    bins=10, range=(0.0, 1.0))
         assert 0.0 <= l1_density_distance(h, lambda x: 0.0) <= 2.0
+
+    def test_rule_is_leggauss_16(self):
+        # the written-out nodes and weights are numpy's own 16-point rule
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(stats._GL16_NODES, nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stats._GL16_WEIGHTS, weights, rtol=0, atol=1e-15)
 
 
 class TestLognormalFit:
