@@ -35,9 +35,11 @@ The mean propensity is taken once per iteration, when recording; the next
 price step reuses it.  Scratch arrays live as long as the run.
 
 When every chartist interacts at every step (rho_C dt = 1: no fundamentalist
-and dt = 1), nobody can switch and the pairing's draws read no market state,
-so a second thread draws iteration i + 1's while the loop does iteration i,
-from the same stream in the same order: the output bytes are the loop's own.
+and dt = 1), nobody can switch, and a second thread draws iteration i + 1's
+pairing while the loop does iteration i, from the same stream in the same
+order: the output bytes are the loop's own.  The pairing reads no market
+state in any run whose N_C and rho_C dt stay fixed, test2's too; the thread
+is kept to rho_C dt = 1 because drawing ahead was measured slower on test2.
 """
 
 from __future__ import annotations
@@ -521,7 +523,8 @@ def run(config: SimConfig) -> Trajectory:
         min_price[i] = s_min
 
     record(0, S0)
-    # at rho_C dt = 1 the pairing reads no market state: it is drawn ahead
+    # drawn ahead only where every chartist pairs: test2's pairing reads no
+    # market state either, but was measured slower drawn ahead
     ahead = (_DrawAhead(pair_rng, n_c, params, config.n_iters)
              if ensemble.n_fundamentalists == 0 and dt == 1.0 else None)
     try:
